@@ -9,7 +9,8 @@ the per-rank head count and per-stage layer count, per-rank kernel costs
 from the unchanged roofline) and each step pays the layout's
 communication, in one of two pricing modes:
 
-* **serialized** (``overlap=False``, ``pp == 1``) — the original model:
+* **serialized** (``FleetConfig(overlap=False)``, ``pp == 1``) — the
+  original model:
   two ring all-reduces of the full ``tokens * hidden`` activation per
   layer stall the ranks at Megatron's row-parallel sync points.  With
   ``tp = 1`` the engine reproduces
@@ -24,10 +25,20 @@ communication, in one of two pricing modes:
 
 A :class:`ShardedServingEngine` runs ``dp`` such replicas over one
 request trace: a router assigns each arrival to a replica (round-robin,
-or least-loaded by outstanding worst-case tokens), every replica shares
-one :class:`~repro.plan.PlanCache`, and the merged
-:class:`ShardedServingReport` aggregates throughput over the global
-makespan.
+or least-loaded by outstanding worst-case tokens), and every replica
+shares one :class:`~repro.plan.PlanCache`.  An
+:class:`AutoscalingServingEngine` is the same fleet with one routing
+change: the replica count floats with offered load, and the run adds a
+capacity probe and GPU-second pricing.
+
+Everything fleet-shaped (layout, routing, collective pricing,
+autoscaling) is one :class:`FleetConfig`, passed as ``fleet=``.  Both
+engines end in one merge: :meth:`ServingReport.merge
+<repro.serving.metrics.ServingReport.merge>` builds the
+:class:`ShardedServingReport` (a ``ServingReport`` plus the fleet's
+collective totals) from the replicas' reports, so every serving metric
+keeps the single definition of :mod:`repro.serving.metrics`.  The
+autoscaler wraps that report as ``FleetReport.sharded``.
 """
 
 from __future__ import annotations
@@ -35,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.core.deprecation import warn_deprecated_kw
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
 from repro.core.rng import RngStream
@@ -46,36 +56,27 @@ from repro.parallel.overlap import DEFAULT_CONTENTION, overlapped_layer_time
 from repro.parallel.shard import ShardConfig
 from repro.plan import PlanCache
 from repro.serving.engine import ServingConfig, ServingEngine
-from repro.serving.metrics import (
-    RequestMetrics,
-    ServingReport,
-    TenantReport,
-    percentile,
-    tenant_reports,
-)
+from repro.serving.metrics import ServingReport
 from repro.serving.request import Request
-from repro.serving.scheduler import Scheduler, make_scheduler
-from repro.serving.slo import SLOPolicy, SLOScheduler
+from repro.serving.scheduler import Scheduler
+from repro.serving.slo import SLOPolicy, make_policy_scheduler
 
 #: Request-routing policies of the data-parallel front door.
 ROUTES = ("round-robin", "least-loaded")
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
 class FleetConfig:
     """Everything fleet-shaped about a serving deployment, in one object.
 
-    Replaces the loose ``shard=``/``route=``/``overlap=``/
-    ``micro_batches=``/``contention=`` keywords that used to ride on each
-    engine constructor (the old spellings still work through deprecation
-    shims).  The autoscaling fields only matter with ``autoscale=True``:
-    the data-parallel width then floats between ``min_replicas`` and
-    ``max_replicas``, re-evaluated every ``scale_window_s`` of simulated
-    time against the measured per-replica capacity, with scale-ups
-    landing ``scale_up_latency_s`` after the decision (scale-downs are
-    immediate) — see :class:`AutoscalingServingEngine`.
+    The only way to give a serving engine its layout, routing and
+    collective-pricing knobs.  The autoscaling fields only matter with
+    ``autoscale=True``: the data-parallel width then floats between
+    ``min_replicas`` and ``max_replicas``, re-evaluated every
+    ``scale_window_s`` of simulated time against the measured per-replica
+    capacity, with scale-ups landing ``scale_up_latency_s`` after the
+    decision (scale-downs are immediate) — see
+    :class:`AutoscalingServingEngine`.
     """
 
     shard: "str | ShardConfig" = ShardConfig()
@@ -131,31 +132,6 @@ class FleetConfig:
             )
 
 
-def _resolve_fleet(fleet, plain: dict, deprecated: dict, stacklevel: int = 3):
-    """Fold an engine's legacy keywords into one :class:`FleetConfig`.
-
-    ``plain`` holds still-supported short forms (``shard=``/``route=``),
-    ``deprecated`` the keywords the API redesign retires; either kind
-    conflicts with an explicit ``fleet=``.  Deprecated spellings warn
-    (once per process) at the caller's line.
-    """
-    plain_given = {k: v for k, v in plain.items() if v is not _UNSET}
-    dep_given = {k: v for k, v in deprecated.items() if v is not _UNSET}
-    if fleet is not None:
-        for name in (*plain_given, *dep_given):
-            hint = " (deprecated)" if name in dep_given else ""
-            raise ConfigError(
-                f"got both fleet= and the {name!r} keyword{hint}; "
-                f"set {name} on the FleetConfig"
-            )
-        return fleet
-    for name in sorted(dep_given):
-        warn_deprecated_kw(
-            name, f"fleet=FleetConfig({name}=...)", stacklevel=stacklevel
-        )
-    return FleetConfig(**plain_given, **dep_given)
-
-
 class TPServingEngine(ServingEngine):
     """One tensor/pipeline-parallel replica (``tp * pp`` ranks in
     lockstep)."""
@@ -170,24 +146,11 @@ class TPServingEngine(ServingEngine):
         plan_cache: PlanCache | None = None,
         lane_base: int = 0,
         label: str = "",
-        overlap: "bool | object" = _UNSET,
-        micro_batches: "int | None | object" = _UNSET,
-        contention: "float | object" = _UNSET,
         fleet: FleetConfig | None = None,
     ):
         # A replica's layout is the positional ``shard``; the fleet config
-        # supplies the overlap/pipeline pricing knobs.  The loose
-        # ``overlap``/``micro_batches``/``contention`` keywords are
-        # deprecated shims for ``fleet=``.
-        fleet = _resolve_fleet(
-            fleet,
-            plain={},
-            deprecated={
-                "overlap": overlap,
-                "micro_batches": micro_batches,
-                "contention": contention,
-            },
-        )
+        # supplies the overlap/pipeline pricing knobs.
+        fleet = fleet if fleet is not None else FleetConfig()
         shard = ShardConfig.parse(shard)
         full = config or ServingConfig()
         if full.heads % shard.tp != 0:
@@ -431,16 +394,19 @@ class TPServingEngine(ServingEngine):
         return super().run(trace, rng=rng)
 
 
-@dataclass
-class ShardedServingReport:
-    """Merged outcome of one trace served by ``dp`` TP/PP replicas."""
+@dataclass(kw_only=True)
+class ShardedServingReport(ServingReport):
+    """Merged outcome of one trace served by ``dp`` TP/PP replicas.
+
+    A :class:`~repro.serving.metrics.ServingReport` whose inherited fields
+    come from :meth:`ServingReport.merge` over the replicas' reports, so
+    every serving metric (TTFT/ITL percentiles, latency, tenant rows) has
+    the single-replica definition, taken over the merged requests.  The
+    fields below are the fleet's own.
+    """
 
     shard: str                  # layout fingerprint, e.g. "tp2dp2:nvlink"
     route: str
-    policy: str
-    device: str
-    n_requests: int
-    makespan_s: float           # global: first arrival to last finish
     comm_s: float               # summed simulated all-reduce seconds
     overlap: bool = True        # pricing mode of the fleet's collectives
     micro_batches: int = 1
@@ -450,92 +416,6 @@ class ShardedServingReport:
     replicas: list[ServingReport] = field(repr=False, default_factory=list)
     #: Request ids handed to each replica (index = replica rank).
     assignments: tuple[tuple[int, ...], ...] = ()
-    #: Fleet-wide per-tenant aggregates; empty for single-tenant traces.
-    tenants: tuple[TenantReport, ...] = ()
-    plan_cache: dict | None = field(default=None, repr=False, compare=False)
-
-    # ------------------------------------------------------------ aggregates
-
-    @property
-    def completed(self) -> int:
-        return sum(r.completed for r in self.replicas)
-
-    @property
-    def requests(self) -> list[RequestMetrics]:
-        """Completed-request metrics merged across replicas."""
-        return sorted(
-            (m for r in self.replicas for m in r.requests),
-            key=lambda m: m.req_id,
-        )
-
-    def ttft_p(self, q: float) -> float:
-        """Fleet-wide TTFT percentile over every completed request."""
-        return percentile([m.ttft_s for m in self.requests], q)
-
-    def itl_p(self, q: float) -> float:
-        return percentile(
-            [m.itl_mean_s for m in self.requests if m.tokens > 1], q
-        )
-
-    @property
-    def kv_peak_used_pages(self) -> int:
-        return sum(r.kv_peak_used_pages for r in self.replicas)
-
-    @property
-    def kv_peak_logical_pages(self) -> int:
-        return sum(r.kv_peak_logical_pages for r in self.replicas)
-
-    @property
-    def cow_forks(self) -> int:
-        return sum(r.cow_forks for r in self.replicas)
-
-    @property
-    def rejected(self) -> int:
-        return sum(r.rejected for r in self.replicas)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(r.total_tokens for r in self.replicas)
-
-    @property
-    def total_steps(self) -> int:
-        return sum(r.total_steps for r in self.replicas)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(r.preemptions for r in self.replicas)
-
-    @property
-    def spec_proposed(self) -> int:
-        return sum(r.spec_proposed for r in self.replicas)
-
-    @property
-    def spec_accepted(self) -> int:
-        return sum(r.spec_accepted for r in self.replicas)
-
-    @property
-    def prefill_chunks(self) -> int:
-        return sum(r.prefill_chunks for r in self.replicas)
-
-    @property
-    def lora_swaps(self) -> int:
-        return sum(r.lora_swaps for r in self.replicas)
-
-    @property
-    def lora_peak_resident(self) -> int:
-        """Peak resident adapters of the busiest replica (residency is a
-        per-device budget, so replica peaks do not add)."""
-        return max((r.lora_peak_resident for r in self.replicas), default=0)
-
-    @property
-    def tokens_per_s(self) -> float:
-        return self.total_tokens / self.makespan_s if self.makespan_s else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        return self.completed / self.makespan_s if self.makespan_s else 0.0
-
-    # -------------------------------------------------------------- rendering
 
     def summary(self) -> str:
         mode = "overlapped" if self.overlap else "serialized"
@@ -562,95 +442,34 @@ class ShardedServingReport:
                 f"{rep.tokens_per_s:,.0f} tok/s, "
                 f"KV peak {rep.kv_peak_occupancy:.1%}"
             )
-        # Fleet-era lines are conditional: single-tenant, unshared runs
-        # keep the historical (golden-tested) rendering byte for byte.
-        if self.spec_proposed:
-            acc = self.spec_accepted / self.spec_proposed
-            lines.append(
-                f"  speculative  : {self.spec_accepted}/{self.spec_proposed} "
-                f"drafts accepted ({acc:.0%} measured)"
-            )
-        if self.prefill_chunks:
-            lines.append(
-                f"  chunked fill : {self.prefill_chunks} prefill chunks"
-            )
-        if self.lora_peak_resident:
-            lines.append(
-                f"  lora         : peak {self.lora_peak_resident} resident "
-                f"adapters, {self.lora_swaps} swaps"
-            )
-        if self.kv_peak_logical_pages > self.kv_peak_used_pages or self.cow_forks:
-            saved = 1.0 - self.kv_peak_used_pages / max(
-                1, self.kv_peak_logical_pages
-            )
-            lines.append(
-                f"  prefix share : peak {self.kv_peak_used_pages} pages vs "
-                f"{self.kv_peak_logical_pages} unshared ({saved:.1%} saved), "
-                f"{self.cow_forks} COW forks"
-            )
-        for t in self.tenants:
-            line = (
-                f"  tenant {t.tenant or '-':<7}: prio {t.priority}, "
-                f"{t.completed} req, {t.tokens} tok, "
-                f"TTFT p99 {format_time(t.ttft_p99_s)}"
-            )
-            if t.ttft_target_s > 0:
-                line += (
-                    f" (target {format_time(t.ttft_target_s)}, "
-                    f"{t.ttft_attainment:.0%} met)"
-                )
-            lines.append(line)
+        lines.extend(self._workload_lines())
         return "\n".join(lines)
-
-
-def _make_policy_scheduler(
-    policy: str,
-    max_batch_size: int,
-    max_batch_tokens: int,
-    slo: SLOPolicy | None,
-) -> Scheduler:
-    """A replica's scheduler: an explicit SLO policy wins over the name."""
-    if slo is not None:
-        return SLOScheduler(max_batch_size, max_batch_tokens, policy=slo)
-    return make_scheduler(policy, max_batch_size, max_batch_tokens)
 
 
 class ShardedServingEngine:
     """``dp`` TP/PP replicas behind one request router."""
+
+    _default_fleet = FleetConfig()
 
     def __init__(
         self,
         spec: GPUSpec,
         policy: str = "continuous",
         config: ServingConfig | None = None,
-        shard: "str | ShardConfig | object" = _UNSET,
-        route: "str | object" = _UNSET,
+        fleet: FleetConfig | None = None,
         max_batch_size: int = 16,
         max_batch_tokens: int = 65536,
         tracer: Tracer | None = None,
         plan_cache: PlanCache | None = None,
-        overlap: "bool | object" = _UNSET,
-        micro_batches: "int | None | object" = _UNSET,
-        contention: "float | object" = _UNSET,
-        fleet: FleetConfig | None = None,
         slo: SLOPolicy | None = None,
     ):
-        fleet = _resolve_fleet(
-            fleet,
-            plain={"shard": shard, "route": route},
-            deprecated={
-                "overlap": overlap,
-                "micro_batches": micro_batches,
-                "contention": contention,
-            },
-        )
+        self.fleet = fleet if fleet is not None else self._default_fleet
         self.spec = spec
         self.policy = "slo" if slo is not None else policy
         self.config = config or ServingConfig()
-        self.fleet = fleet
-        self.shard = fleet.shard
-        self.route = fleet.route
-        self.overlap = fleet.overlap
+        self.shard = self.fleet.shard
+        self.route = self.fleet.route
+        self.overlap = self.fleet.overlap
         self.slo = slo
         self.tracer = tracer
         #: One cache for the whole fleet: TP ranks are lock-stepped and DP
@@ -661,24 +480,33 @@ class ShardedServingEngine:
             if plan_cache is not None
             else PlanCache(max_entries=self.config.plan_cache_entries)
         )
-        lanes_per_replica = 2 + self.shard.tp
+        self._batch_limits = (max_batch_size, max_batch_tokens)
+        self._replica_shard, width = self._layout()
         self.replicas = [
-            TPServingEngine(
-                spec,
-                _make_policy_scheduler(
-                    self.policy, max_batch_size, max_batch_tokens, slo
-                ),
-                self.shard,
-                self.config,
-                tracer=tracer,
-                plan_cache=self.plan_cache,
-                lane_base=r * lanes_per_replica,
-                label=f"replica{r}." if self.shard.dp > 1 else "",
-                fleet=fleet,
-            )
-            for r in range(self.shard.dp)
+            self._replica(tracer, r, f"replica{r}." if width > 1 else "")
+            for r in range(width)
         ]
         self.micro_batches = self.replicas[0].micro_batches
+
+    def _layout(self) -> tuple[ShardConfig, int]:
+        """One replica's layout and the number of replicas to build."""
+        return self.shard, self.shard.dp
+
+    def _replica(
+        self, tracer: Tracer | None, rank: int = 0, label: str = ""
+    ) -> TPServingEngine:
+        """A replica on the fleet's shared plan cache."""
+        return TPServingEngine(
+            self.spec,
+            make_policy_scheduler(self.policy, *self._batch_limits, self.slo),
+            self._replica_shard,
+            self.config,
+            tracer=tracer,
+            plan_cache=self.plan_cache,
+            lane_base=rank * (2 + self._replica_shard.tp),
+            label=label,
+            fleet=self.fleet,
+        )
 
     # --------------------------------------------------------------- routing
 
@@ -707,10 +535,27 @@ class ShardedServingEngine:
         """Route the trace, simulate every replica, merge the reports."""
         if not trace:
             raise ConfigError("empty request trace")
+        report, _ = self._serve(
+            trace, self._assign(trace), rng or RngStream(),
+            shard=self.shard.fingerprint, route=self.route,
+        )
+        return report
+
+    def _serve(
+        self,
+        trace: list[Request],
+        buckets: list[list[Request]],
+        rng: RngStream,
+        shard: str,
+        route: str,
+    ) -> tuple[ShardedServingReport, float]:
+        """Simulate each replica on its bucket and merge the reports.
+
+        Returns the merged report (labelled with ``shard`` and ``route``)
+        and the global last-finish time.
+        """
         # One rng for every replica is safe: RngStream forks are stateless
         # path derivations and per-request masks are seeded by request id.
-        rng = rng or RngStream()
-        buckets = self._assign(trace)
         first_arrival = min(r.arrival_s for r in trace)
         last_finish = first_arrival
         reports: list[ServingReport] = []
@@ -726,24 +571,11 @@ class ShardedServingEngine:
             p2p += engine.p2p_total_s
             bubble += engine.bubble_total_s
             core += engine.core_total_s
-        tenants: tuple[TenantReport, ...] = ()
-        if any(r.tenant for r in trace):
-            tenants = tenant_reports(
-                sorted(
-                    (m for r in reports for m in r.requests),
-                    key=lambda m: m.req_id,
-                ),
-                slo_policy=getattr(
-                    self.replicas[0].scheduler, "slo_policy", None
-                ),
-            )
-        return ShardedServingReport(
-            shard=self.shard.fingerprint,
-            route=self.route,
-            policy=self.policy,
-            device=self.spec.name,
+        report = ShardedServingReport.merge(
+            reports,
             n_requests=len(trace),
             makespan_s=last_finish - first_arrival,
+            slo_policy=getattr(self.replicas[0].scheduler, "slo_policy", None),
             comm_s=comm,
             overlap=self.overlap,
             micro_batches=self.micro_batches,
@@ -754,11 +586,13 @@ class ShardedServingEngine:
             assignments=tuple(
                 tuple(r.req_id for r in b) for b in buckets if b
             ),
-            tenants=tenants,
             plan_cache=(
                 self.plan_cache.stats() if self.config.use_plan_cache else None
             ),
+            shard=shard,
+            route=route,
         )
+        return report, last_finish
 
 
 # --------------------------------------------------------------- autoscaling
@@ -846,10 +680,11 @@ class FleetReport:
         return "\n".join(lines)
 
 
-class AutoscalingServingEngine:
+class AutoscalingServingEngine(ShardedServingEngine):
     """A DP fleet whose width floats with offered load.
 
-    The replica count is *reactive*: a capacity probe (the trace's first
+    The fixed fleet's replicas, merge and report, with its own routing:
+    the replica count is *reactive*.  A capacity probe (the trace's first
     requests replayed back-to-back on one idle replica) measures
     steady-state tokens/s per replica, then each ``scale_window_s`` of
     simulated time the offered token load of the window just finished is
@@ -861,51 +696,12 @@ class AutoscalingServingEngine:
     active replica), the basis of the cost/throughput frontier.
     """
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        policy: str = "continuous",
-        config: ServingConfig | None = None,
-        fleet: FleetConfig | None = None,
-        max_batch_size: int = 16,
-        max_batch_tokens: int = 65536,
-        tracer: Tracer | None = None,
-        plan_cache: PlanCache | None = None,
-        slo: SLOPolicy | None = None,
-    ):
-        self.fleet = fleet if fleet is not None else FleetConfig(autoscale=True)
-        self.spec = spec
-        self.policy = "slo" if slo is not None else policy
-        self.config = config or ServingConfig()
-        self.slo = slo
-        self.tracer = tracer
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else PlanCache(max_entries=self.config.plan_cache_entries)
-        )
-        self._max_batch_size = max_batch_size
-        self._max_batch_tokens = max_batch_tokens
-        #: One replica's layout: the fleet shard with the DP axis removed
-        #: (the autoscaler owns that axis).
-        self._replica_shard = replace(self.fleet.shard, dp=1)
-        lanes_per_replica = 2 + self._replica_shard.tp
-        self.replicas = [
-            TPServingEngine(
-                spec,
-                _make_policy_scheduler(
-                    self.policy, max_batch_size, max_batch_tokens, slo
-                ),
-                self._replica_shard,
-                self.config,
-                tracer=tracer,
-                plan_cache=self.plan_cache,
-                lane_base=r * lanes_per_replica,
-                label=f"replica{r}.",
-                fleet=self.fleet,
-            )
-            for r in range(self.fleet.max_replicas)
-        ]
+    _default_fleet = FleetConfig(autoscale=True)
+
+    def _layout(self) -> tuple[ShardConfig, int]:
+        # The autoscaler owns the DP axis: each replica is the fleet shard
+        # with it removed, and up to ``max_replicas`` of them run.
+        return replace(self.shard, dp=1), self.fleet.max_replicas
 
     # ----------------------------------------------------------------- probe
 
@@ -917,19 +713,7 @@ class AutoscalingServingEngine:
         the fleet plan cache — so the probe doubles as a warm start.
         """
         probe = [replace(r, arrival_s=0.0) for r in trace[:12]]
-        engine = TPServingEngine(
-            self.spec,
-            _make_policy_scheduler(
-                self.policy, self._max_batch_size, self._max_batch_tokens,
-                self.slo,
-            ),
-            self._replica_shard,
-            self.config,
-            tracer=NULL_TRACER,
-            plan_cache=self.plan_cache,
-            fleet=self.fleet,
-        )
-        rep = engine.run(probe, rng=rng)
+        rep = self._replica(NULL_TRACER).run(probe, rng=rng)
         if rep.makespan_s <= 0:    # pragma: no cover - degenerate probe
             raise ConfigError("capacity probe produced a zero makespan")
         return rep.total_tokens / rep.makespan_s
@@ -995,20 +779,14 @@ class AutoscalingServingEngine:
             buckets[r].append(req)
             load[r] += req.max_context
 
-        last_finish = first
-        reports: list[ServingReport] = []
-        comm = p2p = bubble = core = 0.0
-        for engine, bucket in zip(self.replicas, buckets):
-            if not bucket:
-                continue
-            rep = engine.run(bucket, rng=rng)
-            reports.append(rep)
-            sub_first = min(r.arrival_s for r in bucket)
-            last_finish = max(last_finish, sub_first + rep.makespan_s)
-            comm += engine.comm_total_s
-            p2p += engine.p2p_total_s
-            bubble += engine.bubble_total_s
-            core += engine.core_total_s
+        sharded, last_finish = self._serve(
+            trace, buckets, rng,
+            shard=(
+                f"{self._replica_shard.fingerprint} x auto"
+                f"[{fleet.min_replicas}..{fleet.max_replicas}]"
+            ),
+            route="least-loaded",
+        )
 
         # GPU-seconds: every rank of every *active* replica, from first
         # arrival to last finish (replicas draining past a scale-down are
@@ -1019,42 +797,6 @@ class AutoscalingServingEngine:
         for t0, t1 in zip(marks, marks[1:]):
             gpu_s += active_at(t0) * world * (t1 - t0)
 
-        tenants: tuple[TenantReport, ...] = ()
-        if any(r.tenant for r in trace):
-            tenants = tenant_reports(
-                sorted(
-                    (m for r in reports for m in r.requests),
-                    key=lambda m: m.req_id,
-                ),
-                slo_policy=getattr(
-                    self.replicas[0].scheduler, "slo_policy", None
-                ),
-            )
-        sharded = ShardedServingReport(
-            shard=(
-                f"{self._replica_shard.fingerprint} x auto"
-                f"[{fleet.min_replicas}..{fleet.max_replicas}]"
-            ),
-            route="least-loaded",
-            policy=self.policy,
-            device=self.spec.name,
-            n_requests=len(trace),
-            makespan_s=last_finish - first,
-            comm_s=comm,
-            overlap=fleet.overlap,
-            micro_batches=self.replicas[0].micro_batches,
-            p2p_s=p2p,
-            bubble_s=bubble,
-            bubble_fraction=bubble / core if core else 0.0,
-            replicas=reports,
-            assignments=tuple(
-                tuple(r.req_id for r in b) for b in buckets if b
-            ),
-            tenants=tenants,
-            plan_cache=(
-                self.plan_cache.stats() if self.config.use_plan_cache else None
-            ),
-        )
         return FleetReport(
             sharded=sharded,
             capacity_tokens_per_s=capacity,

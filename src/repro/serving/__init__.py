@@ -42,7 +42,12 @@ from repro.serving.scheduler import (
     StaticBatchScheduler,
     make_scheduler,
 )
-from repro.serving.slo import SLOPolicy, SLOScheduler, TenantSLO
+from repro.serving.slo import (
+    SLOPolicy,
+    SLOScheduler,
+    TenantSLO,
+    make_policy_scheduler,
+)
 from repro.serving.spec_decode import SpeculativeConfig
 from repro.serving.workload import (
     SCENARIOS,
@@ -89,6 +94,7 @@ __all__ = [
     "UNSET_S",
     "WorkloadSpec",
     "make_scenario",
+    "make_policy_scheduler",
     "make_scheduler",
     "synthetic_trace",
     "tenant_reports",

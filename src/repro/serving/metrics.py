@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.errors import ConfigError
 from repro.serving.request import RequestTracker
 
 #: Explicit sentinel for "this request never produced the event":
@@ -244,6 +245,61 @@ class ServingReport:
     #: *serving* outcomes, which is exactly what the tests assert.
     plan_cache: dict | None = field(default=None, repr=False, compare=False)
 
+    #: Counters that add across reports of disjoint request sets.
+    _SUMMED = (
+        "completed", "total_tokens", "total_steps", "preemptions",
+        "kv_peak_used_pages", "kv_peak_logical_pages", "cow_forks",
+        "spec_proposed", "spec_accepted", "prefill_chunks", "lora_swaps",
+    )
+
+    @classmethod
+    def merge(
+        cls,
+        parts: "list[ServingReport]",
+        *,
+        n_requests: int,
+        makespan_s: float,
+        slo_policy: object = None,
+        **fields,
+    ) -> "ServingReport":
+        """One report over runs of disjoint request sets (a fleet's
+        replicas).
+
+        Counters add; per-device peaks (KV occupancy, resident LoRA
+        adapters) take the busiest part, since a budget per device does
+        not add; per-request metrics concatenate, sorted by id.  Every
+        derived metric (percentiles, latency, tenant rows) is then the
+        one this class defines, computed over the merged requests.
+        ``n_requests`` and ``makespan_s`` are the caller's global view;
+        per-tenant rows are measured against ``slo_policy`` when any part
+        reported tenants.  ``fields`` fills the rest of the constructor:
+        a subclass's own fields and ``plan_cache``.
+        """
+        if not parts:
+            raise ConfigError("merge needs at least one report")
+        requests = sorted(
+            (m for p in parts for m in p.requests), key=lambda m: m.req_id
+        )
+        tenants: tuple[TenantReport, ...] = ()
+        if any(p.tenants for p in parts):
+            tenants = tenant_reports(requests, slo_policy=slo_policy)
+        return cls(
+            policy=parts[0].policy,
+            pattern="+".join(
+                sorted({x for p in parts for x in p.pattern.split("+")})
+            ),
+            device=parts[0].device,
+            n_requests=n_requests,
+            makespan_s=makespan_s,
+            kv_peak_occupancy=max(p.kv_peak_occupancy for p in parts),
+            rejected_ids=tuple(i for p in parts for i in p.rejected_ids),
+            requests=requests,
+            tenants=tenants,
+            lora_peak_resident=max(p.lora_peak_resident for p in parts),
+            **{f: sum(getattr(p, f) for p in parts) for f in cls._SUMMED},
+            **fields,
+        )
+
     # ------------------------------------------------------------ aggregates
 
     @property
@@ -316,9 +372,20 @@ class ServingReport:
             f"  KV cache     : peak occupancy {self.kv_peak_occupancy:.1%}, "
             f"{self.preemptions} preemptions",
         ]
-        # New fleet-era / workload lines are conditional so legacy runs
-        # keep producing the historical (golden-tested) summary byte for
-        # byte.
+        lines.extend(self._workload_lines())
+        return "\n".join(lines)
+
+    def _workload_lines(self) -> list[str]:
+        """Speculative / chunked-prefill / LoRA / prefix-sharing / tenant
+        lines, shared by every report's summary.
+
+        Each is conditional, so a run that exercises none of these
+        features keeps the historical (golden-tested) summary byte for
+        byte.
+        """
+        from repro.core.units import format_time
+
+        lines = []
         if self.spec_proposed:
             acc = self.spec_accepted / self.spec_proposed
             lines.append(
@@ -355,4 +422,4 @@ class ServingReport:
                     f"{t.ttft_attainment:.0%} met)"
                 )
             lines.append(line)
-        return "\n".join(lines)
+        return lines

@@ -33,7 +33,12 @@ from dataclasses import dataclass
 from repro.core.errors import ConfigError
 from repro.serving.kvcache import PagedKVCache
 from repro.serving.request import RequestTracker
-from repro.serving.scheduler import SCHEDULERS, ContinuousBatchScheduler
+from repro.serving.scheduler import (
+    SCHEDULERS,
+    ContinuousBatchScheduler,
+    Scheduler,
+    make_scheduler,
+)
 
 
 @dataclass(frozen=True)
@@ -169,3 +174,20 @@ class SLOScheduler(ContinuousBatchScheduler):
 
 
 SCHEDULERS[SLOScheduler.name] = SLOScheduler
+
+
+def make_policy_scheduler(
+    policy: str,
+    max_batch_size: int = 16,
+    max_batch_tokens: int = 65536,
+    slo: SLOPolicy | None = None,
+) -> Scheduler:
+    """A serving engine's scheduler: an explicit SLO policy wins over the
+    policy name.
+
+    >>> make_policy_scheduler("continuous", slo=SLOPolicy()).name
+    'slo'
+    """
+    if slo is not None:
+        return SLOScheduler(max_batch_size, max_batch_tokens, policy=slo)
+    return make_scheduler(policy, max_batch_size, max_batch_tokens)

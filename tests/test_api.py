@@ -138,50 +138,24 @@ class TestPublicSurface:
 
 
 class TestLegacyKeywords:
-    def test_gpu_alias_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="'gpu' keyword"):
-            c = compile_model(TINY, 1, 32, gpu="rtx4090")
-        assert "4090" in c.prepared.spec.name
+    """``device=`` / ``mask=`` are the only spellings; the retired
+    ``gpu=`` / ``pattern=`` aliases are unknown keywords."""
 
-    def test_pattern_alias_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="'pattern' keyword"):
-            c = compile_model(TINY, 1, 32, pattern="causal")
-        assert c is not None
-
-    def test_both_spellings_conflict(self):
-        with pytest.raises(ConfigError, match="deprecated alias"):
-            compile_model(TINY, 1, 32, mask="causal", pattern="causal")
+    def test_retired_aliases_are_rejected(self):
+        with pytest.raises(TypeError, match="'gpu'"):
+            compile_model(TINY, 1, 32, gpu="a100")
+        with pytest.raises(TypeError, match="'pattern'"):
+            compare_engines(TINY, 1, 32, pattern="causal",
+                            engines=("pytorch-native",))
 
     def test_canonical_does_not_warn(self, recwarn):
         compile_model(TINY, 1, 32, device="a100", mask="causal")
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_compare_engines_legacy_kwargs(self):
-        with pytest.warns(DeprecationWarning):
-            res = compare_engines(TINY, 1, 32, gpu="a100",
-                                  engines=("pytorch-native",))
-        assert "pytorch-native" in res
-
     def test_compare_engines_unknown_kwarg(self):
         with pytest.raises(TypeError):
             compare_engines(TINY, 1, 32, bogus=1)
-
-    def test_alias_warns_only_once_per_process(self, recwarn):
-        """Loops over compile_model must not spam the identical warning."""
-        compile_model(TINY, 1, 32, gpu="a100")
-        compile_model(TINY, 1, 32, gpu="a100")
-        compare_engines(TINY, 1, 32, gpu="a100", engines=("pytorch-native",))
-        dep = [w for w in recwarn.list
-               if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-
-    def test_warning_points_at_callers_line(self):
-        """The reported location is the user's call site, not a frame
-        inside repro (warn helpers compensate for their own frames)."""
-        with pytest.warns(DeprecationWarning) as record:
-            compile_model(TINY, 1, 32, gpu="a100")
-        assert record[0].filename == __file__
 
 
 class TestTraceHook:
@@ -194,7 +168,7 @@ class TestTraceHook:
 
 
 class TestFleetKeywords:
-    """The api_redesign shims: loose engine kwargs fold into FleetConfig."""
+    """Engines take their fleet shape from one ``FleetConfig``."""
 
     def _mk(self, **kwargs):
         from repro.gpu.specs import A100
@@ -206,35 +180,33 @@ class TestFleetKeywords:
             **kwargs,
         )
 
-    def test_deprecated_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="'overlap' keyword"):
-            engine = self._mk(overlap=False)
-        assert engine.fleet.overlap is False
-        with pytest.warns(DeprecationWarning, match="'contention' keyword"):
-            engine = self._mk(contention=0.5)
-        assert engine.fleet.contention == 0.5
-        with pytest.warns(DeprecationWarning, match="'micro_batches' keyword"):
-            engine = self._mk(shard="tp2pp2", micro_batches=4)
-        assert engine.fleet.micro_batches == 4
+    def test_loose_keywords_are_rejected(self):
+        """``fleet=FleetConfig(...)`` is the only fleet spelling."""
+        from repro.gpu.specs import A100
+        from repro.parallel import TPServingEngine
+        from repro.serving import ServingConfig, make_scheduler
 
-    def test_warning_points_at_callers_line(self):
-        with pytest.warns(DeprecationWarning) as record:
-            self._mk(overlap=False)
-        assert record[0].filename == __file__
+        for kwargs in ({"shard": "tp2"}, {"route": "round-robin"},
+                       {"overlap": False}, {"micro_batches": 4},
+                       {"contention": 0.5}):
+            with pytest.raises(TypeError):
+                self._mk(**kwargs)
+        with pytest.raises(TypeError):
+            TPServingEngine(
+                A100, make_scheduler("continuous"), "tp2",
+                ServingConfig(heads=4, head_size=16, n_layers=2),
+                overlap=False,
+            )
 
-    def test_fleet_conflicts_with_any_loose_kwarg(self):
+    def test_malformed_fleet_config_is_a_config_error(self):
         from repro.parallel import FleetConfig
 
-        with pytest.raises(ConfigError, match="'overlap' keyword"):
-            self._mk(fleet=FleetConfig(), overlap=False)
-        with pytest.raises(ConfigError, match="'shard' keyword"):
-            self._mk(fleet=FleetConfig(), shard="tp2")
-
-    def test_plain_short_forms_do_not_warn(self, recwarn):
-        engine = self._mk(shard="tp2", route="round-robin")
-        assert engine.shard.tp == 2 and engine.route == "round-robin"
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
+        with pytest.raises(ConfigError, match="unknown route"):
+            FleetConfig(route="random")
+        with pytest.raises(ConfigError, match="micro_batches"):
+            FleetConfig(micro_batches=0)
+        with pytest.raises(ConfigError, match="min_replicas"):
+            FleetConfig(min_replicas=3, max_replicas=2)
 
     def test_fleet_config_is_the_canonical_spelling(self, recwarn):
         from repro.parallel import FleetConfig
@@ -246,19 +218,6 @@ class TestFleetKeywords:
         assert engine.fleet.contention == 0.1
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_tp_engine_shims_too(self):
-        from repro.gpu.specs import A100
-        from repro.parallel import TPServingEngine
-        from repro.serving import ServingConfig, make_scheduler
-
-        with pytest.warns(DeprecationWarning, match="'overlap' keyword"):
-            engine = TPServingEngine(
-                A100, make_scheduler("continuous"), "tp2",
-                ServingConfig(heads=4, head_size=16, n_layers=2),
-                overlap=False,
-            )
-        assert engine.overlap is False
 
 
 class TestServeFacade:

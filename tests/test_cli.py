@@ -44,15 +44,16 @@ class TestParser:
 
 
 class TestDeprecatedAliases:
-    def test_pattern_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="--pattern is deprecated"):
-            args = build_parser().parse_args(["mha", "--pattern", "causal"])
-        assert args.mask == "causal"
+    """``--mask`` / ``--device`` are the only spellings; the retired
+    ``--pattern`` / ``--gpu`` aliases no longer parse."""
 
-    def test_gpu_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="--gpu is deprecated"):
-            args = build_parser().parse_args(["mha", "--gpu", "rtx4090"])
-        assert args.device == "rtx4090"
+    @pytest.mark.parametrize("argv", [["mha", "--pattern", "causal"],
+                                      ["mha", "--gpu", "rtx4090"]])
+    def test_retired_aliases_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_canonical_spellings_do_not_warn(self, recwarn):
         args = build_parser().parse_args(
@@ -62,14 +63,6 @@ class TestDeprecatedAliases:
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
-
-    def test_alias_warns_only_once_per_process(self, recwarn):
-        for _ in range(3):
-            build_parser().parse_args(["mha", "--gpu", "rtx4090"])
-        dep = [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(dep) == 1
 
 
 class TestCommands:
