@@ -31,6 +31,11 @@ online softmax, ``seg_id`` broadcasts per-segment statistics back to blocks,
 ``seg_block_rows`` scatters segment results into output rows).
 ``part_bias`` is the deduplicated PART-mask stack as an additive FP32 bias
 (``0`` attended / ``-inf`` masked), ready to add onto score tiles.
+
+Pricing needs none of those arrays, only their sizes: :class:`BlockStats`
+holds the block counts at one grid, and :class:`TileScan` derives them for
+every grid whose block sides are multiples of 16 from a single 16x16 pass
+over the mask, so the selector's candidate grids never rescan it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,13 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.errors import ConfigError
+
+
+#: Side of the finest grid :class:`TileScan` records; coarser grids sum it.
+TILE = 16
+
+#: Set bits per byte value (portable popcount for numpy < 2.0).
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int32)
 
 
 class BlockKind(enum.IntEnum):
@@ -256,14 +268,6 @@ class BlockSparseMask:
     # --------------------------------------------------------------- queries
 
     @property
-    def n_block_rows(self) -> int:
-        return -(-self.seq_len // self.block_m)
-
-    @property
-    def n_block_cols(self) -> int:
-        return -(-self.kv_len // self.block_n)
-
-    @property
     def n_full(self) -> int:
         return int(len(self.full_col_idx))
 
@@ -272,21 +276,44 @@ class BlockSparseMask:
         return int(len(self.part_col_idx))
 
     @property
+    def n_unique_part_masks(self) -> int:
+        return int(self.part_mask.shape[0])
+
+    @cached_property
+    def stats(self) -> "BlockStats":
+        """The block counts pricing reads (see :class:`BlockStats`)."""
+        return BlockStats(
+            seq_len=self.seq_len,
+            kv_len=self.kv_len,
+            block_m=self.block_m,
+            block_n=self.block_n,
+            n_full=self.n_full,
+            n_part=self.n_part,
+            n_unique_part_masks=self.n_unique_part_masks,
+        )
+
+    @property
+    def n_block_rows(self) -> int:
+        return self.stats.n_block_rows
+
+    @property
+    def n_block_cols(self) -> int:
+        return self.stats.n_block_cols
+
+    @property
     def n_valid(self) -> int:
-        return int(len(self.load_col_idx))
+        return self.stats.n_valid
 
     @property
     def n_total(self) -> int:
-        return self.n_block_rows * self.n_block_cols
+        return self.stats.n_total
 
     @property
     def valid_ratio(self) -> float:
-        """Fraction of blocks that must be computed (Eq. 1's first term)."""
-        return self.n_valid / self.n_total if self.n_total else 0.0
+        return self.stats.valid_ratio
 
-    @property
-    def n_unique_part_masks(self) -> int:
-        return int(self.part_mask.shape[0])
+    def metadata_bytes(self) -> int:
+        return self.stats.metadata_bytes()
 
     def row_valid_counts(self) -> np.ndarray:
         """Number of valid blocks per block row (kernel work distribution)."""
@@ -378,31 +405,155 @@ class BlockSparseMask:
             self._concat_groups_cache = groups
         return self._concat_groups_cache
 
-    def metadata_bytes(self) -> int:
-        """Device bytes occupied by the index arrays and mask stack.
-
-        The flat-COO / segment arrays are host-side execution machinery for
-        the vectorized functional backend and deliberately not counted: a
-        real device kernel consumes only the CSR views priced here.
-        """
-        return int(
-            self.full_row_ptr.nbytes
-            + self.full_col_idx.nbytes
-            + self.part_row_ptr.nbytes
-            + self.part_col_idx.nbytes
-            + self.part_mask_idx.nbytes
-            + self.part_mask.size  # stored as 1 byte/element on device
-            + self.load_row_ptr.nbytes
-            + self.load_col_idx.nbytes
-            + self.load_kind.nbytes
-            + self.load_mask_idx.nbytes
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BlockSparseMask(seq={self.seq_len}, block=({self.block_m},"
             f"{self.block_n}), full={self.n_full}, part={self.n_part}, "
             f"valid={self.n_valid}/{self.n_total})"
+        )
+
+
+@dataclass(frozen=True)
+class BlockStats:
+    """Block counts of a mask at one ``(block_m, block_n)`` grid.
+
+    Everything the cost model reads of a BSR view — FULL, PART and
+    deduplicated PART-mask counts plus the geometry — without its index
+    arrays.  Equal to ``BlockSparseMask.from_dense(mask, bm, bn).stats``
+    field for field; :meth:`TileScan.stats` derives it without the build.
+    """
+
+    seq_len: int
+    kv_len: int
+    block_m: int
+    block_n: int
+    n_full: int
+    n_part: int
+    n_unique_part_masks: int
+
+    @property
+    def n_block_rows(self) -> int:
+        return -(-self.seq_len // self.block_m)
+
+    @property
+    def n_block_cols(self) -> int:
+        return -(-self.kv_len // self.block_n)
+
+    @property
+    def n_valid(self) -> int:
+        return self.n_full + self.n_part
+
+    @property
+    def n_total(self) -> int:
+        return self.n_block_rows * self.n_block_cols
+
+    @property
+    def valid_ratio(self) -> float:
+        """Fraction of blocks that must be computed (Eq. 1's first term)."""
+        return self.n_valid / self.n_total if self.n_total else 0.0
+
+    def metadata_bytes(self) -> int:
+        """Device bytes occupied by the BSR index arrays and mask stack.
+
+        Three ``int32`` row pointers (full, part, load); ``int32`` column
+        indices for FULL and PART blocks plus a PART mask index; the merged
+        load arrays (``int32`` column, ``int8`` kind, ``int32`` mask index)
+        per valid block; and the deduplicated PART masks at 1 byte/element.
+        The flat-COO / segment arrays are host-side machinery of the
+        vectorized functional backend and deliberately not counted: a real
+        device kernel consumes only the CSR views priced here.
+        """
+        return (
+            3 * 4 * (self.n_block_rows + 1)
+            + 4 * self.n_full
+            + (4 + 4) * self.n_part
+            + (4 + 1 + 4) * self.n_valid
+            + self.n_unique_part_masks * self.block_m * self.block_n
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TileScan:
+    """One 16x16 pass over a mask, from which any coarser grid follows.
+
+    ``counts[r, c]`` is the attended element count of tile ``(r, c)`` and
+    ``ids[r, c]`` a content id: two tiles share an id iff their elements
+    (``False``-padded past the mask's edge) are equal, and ``0`` is the
+    empty tile.  For block sides that are multiples of 16, a coarse
+    block's count is the sum of its tiles' counts (compared against its
+    clipped edge capacity for FULL), and two coarse blocks hold equal masks
+    iff their rows of sub-tile ids are equal — so :meth:`stats` is exact.
+    """
+
+    seq_len: int
+    kv_len: int
+    counts: np.ndarray   # (tile rows, tile cols) int32
+    ids: np.ndarray      # (tile rows, tile cols) int64, 0 = empty
+
+    @classmethod
+    def of(cls, mask: np.ndarray) -> "TileScan":
+        """Scan a 2-D boolean mask once: bit-pack, popcount, dedupe tiles."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ConfigError(f"mask must be 2-D, got shape {mask.shape}")
+        seq_len, kv_len = mask.shape
+        n_rows, n_cols = -(-seq_len // TILE), -(-kv_len // TILE)
+        row_bytes = TILE // 8
+        # Pack along keys first (trailing bits are zero), then pad the small
+        # packed array, so the L^2 mask itself is never copied.
+        packed = np.packbits(mask, axis=1)
+        padded = np.zeros((n_rows * TILE, n_cols * row_bytes), dtype=np.uint8)
+        padded[:seq_len, : packed.shape[1]] = packed
+        tiles = np.ascontiguousarray(
+            padded.reshape(n_rows, TILE, n_cols, row_bytes).transpose(0, 2, 1, 3)
+        ).reshape(n_rows * n_cols, TILE * row_bytes)
+        counts = _POPCOUNT[tiles].sum(axis=1, dtype=np.int32)
+
+        ids = np.zeros(n_rows * n_cols, dtype=np.int64)
+        live = np.flatnonzero(counts)
+        if len(live):
+            keys = tiles[live].view(f"V{TILE * row_bytes}").ravel()
+            _, inverse = np.unique(keys, return_inverse=True)
+            ids[live] = inverse.ravel() + 1
+        return cls(
+            seq_len=seq_len,
+            kv_len=kv_len,
+            counts=counts.reshape(n_rows, n_cols),
+            ids=ids.reshape(n_rows, n_cols),
+        )
+
+    def stats(self, block_m: int, block_n: int) -> BlockStats:
+        """Exact :class:`BlockStats` at a grid of multiples of 16."""
+        if block_m % TILE or block_n % TILE or min(block_m, block_n) < TILE:
+            raise ConfigError(
+                f"tile-scan grids need multiples of {TILE}, got ({block_m}, {block_n})"
+            )
+        fm, fn = block_m // TILE, block_n // TILE
+        n_rows = -(-self.seq_len // block_m)
+        n_cols = -(-self.kv_len // block_n)
+
+        def coarse(grid: np.ndarray) -> np.ndarray:
+            out = np.zeros((n_rows * fm, n_cols * fn), dtype=grid.dtype)
+            out[: grid.shape[0], : grid.shape[1]] = grid
+            return out.reshape(n_rows, fm, n_cols, fn).transpose(0, 2, 1, 3)
+
+        counts = coarse(self.counts).sum(axis=(2, 3))
+        rows_in = np.minimum(block_m, self.seq_len - block_m * np.arange(n_rows))
+        cols_in = np.minimum(block_n, self.kv_len - block_n * np.arange(n_cols))
+        capacity = rows_in[:, None] * cols_in[None, :]
+        is_full = counts == capacity      # capacity >= 1, so counts > 0
+        is_part = (counts > 0) & ~is_full
+
+        sub_ids = coarse(self.ids)[is_part].reshape(-1, fm * fn)
+        n_unique = len(np.unique(sub_ids, axis=0)) if len(sub_ids) else 0
+        return BlockStats(
+            seq_len=self.seq_len,
+            kv_len=self.kv_len,
+            block_m=block_m,
+            block_n=block_n,
+            n_full=int(is_full.sum()),
+            n_part=int(is_part.sum()),
+            n_unique_part_masks=n_unique,
         )
 
 

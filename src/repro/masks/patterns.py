@@ -30,6 +30,14 @@ def _check_seq_len(seq_len: int) -> None:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
 
 
+def _band(seq_len: int, reach: int) -> np.ndarray:
+    """``|i - j| <= reach`` as two per-row bound tests (bool temporaries only)."""
+    idx = np.arange(seq_len)
+    band = idx[None, :] >= (idx - reach)[:, None]
+    band &= idx[None, :] <= (idx + reach)[:, None]
+    return band
+
+
 def sliding_window_mask(seq_len: int, band_width: int) -> np.ndarray:
     """Banded local-attention mask: attend iff ``|i - j| <= band_width``.
 
@@ -42,8 +50,7 @@ def sliding_window_mask(seq_len: int, band_width: int) -> np.ndarray:
     _check_seq_len(seq_len)
     if band_width < 0:
         raise ConfigError(f"band_width must be >= 0, got {band_width}")
-    idx = np.arange(seq_len)
-    return np.abs(idx[:, None] - idx[None, :]) <= band_width
+    return _band(seq_len, band_width)
 
 
 def dilated_mask(seq_len: int, band_width: int, dilation_rate: int = 1) -> np.ndarray:
@@ -60,11 +67,12 @@ def dilated_mask(seq_len: int, band_width: int, dilation_rate: int = 1) -> np.nd
     if dilation_rate < 0:
         raise ConfigError(f"dilation_rate must be >= 0, got {dilation_rate}")
     stride = dilation_rate + 1
-    idx = np.arange(seq_len)
-    delta = idx[:, None] - idx[None, :]
-    within = np.abs(delta) <= band_width * stride
-    on_diag = (delta % stride) == 0
-    return within & on_diag
+    mask = _band(seq_len, band_width * stride)
+    if stride > 1:
+        # (i - j) % stride == 0  <=>  i and j share a phase mod stride.
+        phase = np.arange(seq_len) % stride
+        mask &= phase[:, None] == phase[None, :]
+    return mask
 
 
 def global_mask(seq_len: int, global_width: int) -> np.ndarray:

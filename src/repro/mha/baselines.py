@@ -130,8 +130,8 @@ class _FusedDenseBase(AttentionKernel):
 
     def _visited_blocks(self, problem: AttentionProblem) -> tuple[int, int]:
         """(visited blocks, blocks needing an element-mask load)."""
-        bsr = problem.bsr(self._bm(problem), self._bn(problem))
-        return bsr.n_total, bsr.n_total  # dense visit, dense mask load
+        stats = problem.block_stats(self._bm(problem), self._bn(problem))
+        return stats.n_total, stats.n_total  # dense visit, dense mask load
 
     def _bm(self, problem):
         return min(self.block_m, max(16, problem.seq_len))
@@ -145,7 +145,7 @@ class _FusedDenseBase(AttentionKernel):
     def plan(self, problem, spec, params=None) -> list[Launch]:
         self.check_supported(problem)
         bm, bn = self._bm(problem), self._bn(problem)
-        bsr = problem.bsr(bm, bn)
+        n_rows = problem.block_stats(bm, bn).n_block_rows
         n_bh = problem.n_bh
         d = problem.head_size
         visited, masked = self._visited_blocks(problem)
@@ -185,11 +185,11 @@ class _FusedDenseBase(AttentionKernel):
             bank_conflict_factor=float(conflict),
             flops_tensor=n_bh * visited * 4.0 * bm * bn * d,
             flops_simt=n_bh * visited * self.simt_per_score * bm * bn,
-            sync_rounds=visited / max(1, bsr.n_block_rows),
+            sync_rounds=visited / max(1, n_rows),
             launches=1,
         )
         config = LaunchConfig(
-            grid_blocks=n_bh * bsr.n_block_rows,
+            grid_blocks=n_bh * n_rows,
             warps_per_block=self.num_warps,
             smem_per_block=smem_bytes,
             pipelined=self.pipelined,
@@ -223,10 +223,10 @@ class FlashAttention2Attention(_FusedDenseBase):
     NATIVE_PATTERNS = ("causal", "sliding_window")
 
     def _visited_blocks(self, problem):
-        bsr = problem.bsr(self._bm(problem), self._bn(problem))
+        stats = problem.block_stats(self._bm(problem), self._bn(problem))
         if problem.pattern in self.NATIVE_PATTERNS:
-            return bsr.n_valid, 0   # positional mask: no mask bytes at all
-        return bsr.n_total, bsr.n_total
+            return stats.n_valid, 0   # positional mask: no mask bytes at all
+        return stats.n_total, stats.n_total
 
 
 class FlexAttention(_FusedDenseBase):
@@ -247,8 +247,8 @@ class FlexAttention(_FusedDenseBase):
     simt_per_score = 16.0   # score_mod callback overhead
 
     def _visited_blocks(self, problem):
-        bsr = problem.bsr(self._bm(problem), self._bn(problem))
-        return bsr.n_valid, bsr.n_part
+        stats = problem.block_stats(self._bm(problem), self._bn(problem))
+        return stats.n_valid, stats.n_part
 
     def plan(self, problem, spec, params=None):
         launches = super().plan(problem, spec, params)
@@ -288,8 +288,8 @@ class FlashMaskAttention(_FusedDenseBase):
         return True, ""
 
     def _visited_blocks(self, problem):
-        bsr = problem.bsr(self._bm(problem), self._bn(problem))
-        return bsr.n_valid, 0   # ranges are positional: no mask bytes
+        stats = problem.block_stats(self._bm(problem), self._bn(problem))
+        return stats.n_valid, 0   # ranges are positional: no mask bytes
 
 
 class ByteTransformerAttention(_FusedDenseBase):

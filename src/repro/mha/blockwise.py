@@ -14,8 +14,9 @@ One fused kernel computes masked attention over the BSR mask view:
   are pipelined against compute with async copy.
 
 ``run`` computes real values via the same block traversal (online softmax in
-FP32); ``plan`` produces the launch the simulated device prices.  Both share
-one counter builder so functional and analytical modes always agree.
+FP32) over the BSR view; ``plan`` prices the launch from the mask's
+:class:`~repro.masks.bsr.BlockStats` at the same grid, which counts exactly
+the blocks that traversal visits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.core.fp16 import FP16_BYTES, to_fp16
 from repro.gpu.bank import bank_conflict_factor
 from repro.gpu.cost import KernelCost, LaunchConfig
 from repro.gpu.specs import GPUSpec
-from repro.masks.bsr import BlockKind, BlockSparseMask
+from repro.masks.bsr import BlockKind, BlockSparseMask, BlockStats
 from repro.mha.kernel import GATHER_CHUNK_ELEMS, AttentionKernel, Launch
 from repro.mha.problem import AttentionProblem
 from repro.obs.metrics import current_metrics
@@ -87,13 +88,13 @@ class BlockWiseKernel(AttentionKernel):
     ) -> list[Launch]:
         p = params or self.default_params(problem, spec)
         _validate_blocks(p["block_m"], p["block_n"])
-        bsr = problem.bsr(p["block_m"], p["block_n"])
-        cost = self._counters(problem, bsr, spec, p)
+        stats = problem.block_stats(p["block_m"], p["block_n"])
+        cost = self._counters(problem, stats, spec, p)
         smem_bytes = required_smem_elems(
             p["block_m"], p["block_n"], problem.head_size, p["padding"]
         ) * FP16_BYTES
         config = LaunchConfig(
-            grid_blocks=problem.n_bh * bsr.n_block_rows,
+            grid_blocks=problem.n_bh * stats.n_block_rows,
             warps_per_block=p["num_warps"],
             smem_per_block=smem_bytes,
             pipelined=True,
@@ -103,16 +104,16 @@ class BlockWiseKernel(AttentionKernel):
     def _counters(
         self,
         problem: AttentionProblem,
-        bsr: BlockSparseMask,
+        stats: BlockStats,
         spec: GPUSpec,
         p: dict[str, Any],
     ) -> KernelCost:
         bm, bn = p["block_m"], p["block_n"]
         d = problem.head_size
         n_bh = problem.n_bh
-        n_valid = bsr.n_valid
-        n_part = bsr.n_part
-        n_rows = bsr.n_block_rows
+        n_valid = stats.n_valid
+        n_part = stats.n_part
+        n_rows = stats.n_block_rows
 
         q_bytes = problem.qkv_bytes
         out_bytes = problem.qkv_bytes
@@ -131,7 +132,7 @@ class BlockWiseKernel(AttentionKernel):
 
         # PART-block element masks (1 byte/element on device, deduplicated
         # stack is L2-resident after first touch) + index metadata.
-        meta_first = bsr.metadata_bytes()
+        meta_first = stats.metadata_bytes()
         mask_visits = n_bh * n_part * bm * bn * 1.0
         dram_read += meta_first
         l2_read += max(0.0, mask_visits - meta_first)

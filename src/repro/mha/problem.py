@@ -3,8 +3,9 @@
 :class:`AttentionProblem` describes either a *symbolic* problem (shapes and
 mask only — what the benchmark harness builds at paper scale) or a *concrete*
 one (with Q/K/V arrays — what the tests and examples run functionally).  It
-caches the mask's derived views (BSR at arbitrary block sizes, element-level
-CSR, sparsity statistics) so kernels and the selector share one analysis.
+caches the mask's derived views (block counts from one 16x16 tile scan,
+BSR and element-level CSR for functional runs, sparsity statistics) so
+kernels and the selector share one analysis.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
 from repro.core.rng import RngStream
-from repro.masks.bsr import BlockSparseMask
+from repro.masks.bsr import TILE, BlockSparseMask, BlockStats, TileScan
 from repro.masks.patterns import make_pattern
 from repro.masks.stats import classify_distribution
 
@@ -47,6 +48,10 @@ class AttentionProblem:
     _bsr_cache: dict[tuple[int, int], BlockSparseMask] = field(
         default_factory=dict, repr=False
     )
+    _stats_cache: dict[tuple[int, int], BlockStats] = field(
+        default_factory=dict, repr=False
+    )
+    _tile_scan: TileScan | None = field(default=None, repr=False)
     _csr_cache: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _mask_fp: str | None = field(default=None, repr=False)
     _contig_cache: float | None = field(default=None, repr=False)
@@ -157,8 +162,29 @@ class AttentionProblem:
 
     # ------------------------------------------------------------ mask views
 
+    def block_stats(self, block_m: int, block_n: int) -> BlockStats:
+        """Block counts of the mask at a block granularity (cached).
+
+        What every pricing path reads.  Grids of multiples of 16 come from
+        one cached :class:`TileScan` of the mask; any other grid (a
+        baseline's block clipped to a short sequence) from its BSR view.
+        """
+        key = (int(block_m), int(block_n))
+        if key not in self._stats_cache:
+            if key[0] % TILE or key[1] % TILE:
+                self._stats_cache[key] = self.bsr(*key).stats
+            else:
+                if self._tile_scan is None:
+                    self._tile_scan = TileScan.of(self.mask)
+                self._stats_cache[key] = self._tile_scan.stats(*key)
+        return self._stats_cache[key]
+
     def bsr(self, block_m: int, block_n: int) -> BlockSparseMask:
-        """BSR view of the mask at a block granularity (cached)."""
+        """BSR view of the mask at a block granularity (cached).
+
+        Built only for functional runs and inspection; pricing reads
+        :meth:`block_stats`.
+        """
         key = (int(block_m), int(block_n))
         if key not in self._bsr_cache:
             self._bsr_cache[key] = BlockSparseMask.from_dense(self.mask, *key)
@@ -167,9 +193,10 @@ class AttentionProblem:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Element-level CSR (row_ptr, col_idx) of the mask (cached).
 
-        This is the row-wise kernel's storage format.  Both arrays are
-        ``int32``, matching the BSR views (an attention mask is at most
-        ~4k x ~4k here, so nnz stays far below the int32 ceiling).
+        This is the row-wise kernel's storage format, built only for its
+        functional ``run()``.  Both arrays are ``int32``, matching the BSR
+        views (an attention mask is at most ~4k x ~4k here, so nnz stays
+        far below the int32 ceiling).
         """
         if self._csr_cache is None:
             row_ptr = np.zeros(self.seq_len + 1, dtype=np.int32)
@@ -231,8 +258,7 @@ class AttentionProblem:
     @property
     def nnz(self) -> int:
         """Attended element count of the mask."""
-        row_ptr, _ = self.csr()
-        return int(row_ptr[-1])
+        return int(np.count_nonzero(self.mask))
 
     @property
     def density(self) -> float:

@@ -67,16 +67,16 @@ class KernelChoice(enum.Enum):
 def eq1_threshold(problem: AttentionProblem, tau: float = TAU) -> float:
     """Paper Eq. 1, verbatim.
 
-    Uses ``load_row_ptr`` of the 16x16 BSR view: the numerator of the first
-    term is the total count of valid ("full" + "part") blocks.
+    The numerator of the first term is the total count of valid ("full" +
+    "part") blocks at 16x16, read from the mask's tile scan.
     """
-    bsr = problem.bsr(EQ1_BLOCK, EQ1_BLOCK)
-    n_rows = bsr.n_block_rows
+    stats = problem.block_stats(EQ1_BLOCK, EQ1_BLOCK)
+    n_rows = stats.n_block_rows
     if n_rows < 2:
         # log2(1) = 0 would divide by zero; a single block row is by
         # definition the small-input regime Eq. 1 routes to row-wise.
         return -math.inf
-    valid_ratio = float(bsr.load_row_ptr[-1]) / float(n_rows * n_rows)
+    valid_ratio = float(stats.n_valid) / float(n_rows * n_rows)
     penalty = tau / (math.log2(n_rows) ** 2)
     return valid_ratio - penalty
 

@@ -734,8 +734,7 @@ class ServingEngine:
             if tr.ttft_s is None:
                 tr.ttft_s = clock
             if tr.done:
-                tr.finish_s = clock
-                tr.state = RequestState.FINISHED
+                tr.finish(clock)
                 if tr in waiting:      # preempted in the same step it finished
                     waiting.remove(tr)
                 finished.append(tr)

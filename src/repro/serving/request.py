@@ -144,6 +144,16 @@ class RequestTracker:
     def done(self) -> bool:
         return self.generated >= self.request.max_new_tokens
 
+    def finish(self, clock: float) -> None:
+        """Mark the request finished at ``clock`` and free its dense mask.
+
+        The fingerprint string stays cached, so host memory follows the
+        in-flight requests rather than every request the run has seen.
+        """
+        self.state = RequestState.FINISHED
+        self.finish_s = clock
+        self._full_mask = None
+
     def full_mask(self, rng: RngStream) -> np.ndarray:
         """The request's (causal ∧ pattern) mask at ``max_context`` (cached).
 

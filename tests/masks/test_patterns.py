@@ -59,6 +59,22 @@ class TestDilated:
         assert dilated_mask(16, 2, 3).trace() == 16
 
 
+@pytest.mark.parametrize("seq_len", [1, 2, 7, 16, 33, 130])
+@pytest.mark.parametrize("band_width", [0, 1, 3, 40])
+def test_band_generators_match_closed_form(seq_len, band_width):
+    """Sliding window is ``|i-j| <= w``; dilated keeps ``(i-j) % s == 0``
+    inside the band stretched by ``s = dilation_rate + 1``."""
+    i, j = np.meshgrid(np.arange(seq_len), np.arange(seq_len), indexing="ij")
+    delta = i - j
+    assert np.array_equal(
+        sliding_window_mask(seq_len, band_width), np.abs(delta) <= band_width
+    )
+    for rate in (0, 1, 2, 5):
+        s = rate + 1
+        expected = (np.abs(delta) <= band_width * s) & (delta % s == 0)
+        assert np.array_equal(dilated_mask(seq_len, band_width, rate), expected)
+
+
 class TestGlobal:
     def test_rows_and_columns(self):
         m = global_mask(16, 3)

@@ -87,6 +87,18 @@ class TestRequestTracker:
     def test_initial_state(self):
         assert self.make().state is RequestState.WAITING
 
+    def test_finish_frees_mask_keeps_fingerprint(self):
+        tr = self.make(prompt=8, new=4, pattern="sliding_window")
+        rng = RngStream(3)
+        mask = tr.full_mask(rng).copy()
+        fp = tr.mask_fingerprint(rng)
+        tr.finish(1.5)
+        assert (tr.state, tr.finish_s) == (RequestState.FINISHED, 1.5)
+        assert tr._full_mask is None
+        assert tr.mask_fingerprint(RngStream(99)) == fp
+        assert tr._full_mask is None          # the fingerprint needs no mask
+        assert np.array_equal(tr.full_mask(rng), mask)   # rebuilt identically
+
 
 class TestSyntheticTrace:
     def test_deterministic(self):
