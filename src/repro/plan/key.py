@@ -82,13 +82,18 @@ def spec_fingerprint(spec: Any) -> str:
     """Content hash of a GPU spec (every dataclass field participates).
 
     ``with_overrides`` copies therefore fingerprint differently from their
-    base spec whenever any constant changed.
+    base spec whenever any constant changed.  Memoized on the frozen
+    instance (the ``PlanKey.__hash__`` idiom): every prefill key needs it.
     """
-    payload = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()[:12]
-    return f"{payload.get('name', 'device')}#{digest}"
+    fp = spec.__dict__.get("_fingerprint")
+    if fp is None:
+        payload = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True, default=str).encode()
+        ).hexdigest()[:12]
+        fp = f"{payload.get('name', 'device')}#{digest}"
+        object.__setattr__(spec, "_fingerprint", fp)
+    return fp
 
 
 @dataclass(frozen=True, eq=False)

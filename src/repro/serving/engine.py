@@ -23,6 +23,7 @@ runs produce bit-identical reports.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ from repro.serving.kvcache import KVCacheConfig, PagedKVCache
 from repro.serving.lora import AdapterRegistry, LoRAConfig
 from repro.serving.metrics import RequestMetrics, ServingReport, tenant_reports
 from repro.serving.request import Request, RequestState, RequestTracker
-from repro.serving.scheduler import Scheduler
+from repro.serving.scheduler import Scheduler, WaitQueue
 from repro.serving.spec_decode import SpeculativeConfig
 
 
@@ -711,8 +712,8 @@ class ServingEngine:
             if req.prefix_id:
                 cache.register_prefix(req.req_id, req.prefix_id, req.prefix_len)
 
-        pending = list(active)
-        waiting: list[RequestTracker] = []
+        pending = deque(active)
+        waiting = WaitQueue(self.scheduler.queue_key)
         running: list[RequestTracker] = []
         finished: list[RequestTracker] = []
 
@@ -734,9 +735,9 @@ class ServingEngine:
             if tr.ttft_s is None:
                 tr.ttft_s = clock
             if tr.done:
+                if tr.state is RequestState.WAITING:
+                    waiting.discard(tr)   # preempted in the step it finished
                 tr.finish(clock)
-                if tr in waiting:      # preempted in the same step it finished
-                    waiting.remove(tr)
                 finished.append(tr)
                 if tracer.enabled:
                     arrival = tr.request.arrival_s
@@ -764,17 +765,14 @@ class ServingEngine:
             # chunked prefill restarts from whatever re-admission finds
             # cached, not from its old chunk watermark.
             tr.prefilled = None
-            waiting.append(tr)
-            waiting.sort(key=lambda t: (t.request.arrival_s, t.req_id))
+            waiting.push(tr)
 
         if metrics.enabled and rejected:
             metrics.counter("serving.rejected").inc(len(rejected))
 
         while len(finished) < len(active):
             while pending and pending[0].arrival_s <= clock:
-                tr = trackers[pending.pop(0).req_id]
-                waiting.append(tr)
-            waiting.sort(key=lambda t: (t.request.arrival_s, t.req_id))
+                waiting.push(trackers[pending.popleft().req_id])
 
             self.scheduler.begin_step(clock)
             # Preempt-to-meet-deadline (SLO policies): evict lower-priority
@@ -858,6 +856,7 @@ class ServingEngine:
             if self.scheduler.allows_preemption:
                 members.sort(key=lambda tp: (tp[0].request.arrival_s, tp[0].req_id))
                 survivors: list[tuple[RequestTracker, int]] = []
+                survivor_ids: set[int] = set()
                 for tr, pos in members:
                     if tr not in running:   # evicted earlier in this pass
                         continue
@@ -875,8 +874,7 @@ class ServingEngine:
                         evictable = [
                             t
                             for t in running
-                            if t is not tr
-                            and all(t is not s for s, _ in survivors)
+                            if t is not tr and t.req_id not in survivor_ids
                         ]
                         if not evictable:   # pragma: no cover - solo fit holds
                             preempt(tr)
@@ -889,6 +887,7 @@ class ServingEngine:
                         preempt(victim)
                     if not preempted_self:
                         survivors.append((tr, pos))
+                        survivor_ids.add(tr.req_id)
                 members = survivors
             if cfg.spec_decode is not None and members:
                 decode_s, n, emits = self._spec_decode_step(members, mask_rng)

@@ -25,16 +25,58 @@ compute.
   packed step size.
 
 Schedulers only decide membership; pricing, preemption and token
-accounting live in :mod:`repro.serving.engine`.
+accounting live in :mod:`repro.serving.engine`, which queues waiters in
+a :class:`WaitQueue` ordered by :meth:`Scheduler.queue_key`.
 """
 
 from __future__ import annotations
 
+import heapq
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Iterator
 
 from repro.core.errors import ConfigError
 from repro.serving.kvcache import PagedKVCache
-from repro.serving.request import RequestState, RequestTracker
+from repro.serving.request import RequestTracker
+
+
+class WaitQueue:
+    """Waiting trackers in ascending ``key`` order, held as a binary heap.
+
+    ``push`` and ``pop`` are O(log n) and ``head`` is O(1), so a step
+    never re-sorts the queue.  Keys end in the unique ``req_id``, so two
+    trackers are never compared.
+    """
+
+    def __init__(self, key: Callable[[RequestTracker], tuple], trackers=()):
+        self._key = key
+        self._heap = [(key(tr), tr) for tr in trackers]
+        heapq.heapify(self._heap)
+
+    def push(self, tr: RequestTracker) -> None:
+        heapq.heappush(self._heap, (self._key(tr), tr))
+
+    def head(self) -> RequestTracker:
+        return self._heap[0][1]
+
+    def pop(self) -> RequestTracker:
+        return heapq.heappop(self._heap)[1]
+
+    def discard(self, tr: RequestTracker) -> None:
+        """Drop ``tr`` if it is queued.  O(n), but only a request preempted
+        in the same step it finished takes this path."""
+        for i, (_, queued) in enumerate(self._heap):
+            if queued is tr:
+                del self._heap[i]
+                heapq.heapify(self._heap)
+                return
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __iter__(self) -> Iterator[RequestTracker]:
+        """The queued trackers in key order."""
+        return (tr for _, tr in sorted(self._heap))
 
 
 class Scheduler(ABC):
@@ -52,27 +94,31 @@ class Scheduler(ABC):
         self.max_batch_size = max_batch_size
         self.max_batch_tokens = max_batch_tokens
 
+    def queue_key(self, tr: RequestTracker) -> tuple:
+        """Admission order of the waiting queue: FCFS by arrival."""
+        return (tr.request.arrival_s, tr.req_id)
+
     @abstractmethod
     def admit(
         self,
-        waiting: list[RequestTracker],
+        waiting: WaitQueue,
         running: list[RequestTracker],
         cache: PagedKVCache,
     ) -> list[RequestTracker]:
-        """Pop admitted trackers off ``waiting`` (reserving their KV) and
-        return them; the engine prefills them this step."""
+        """Pop admitted trackers off the head of ``waiting`` (reserving their
+        KV) and return them; the engine prefills them this step."""
 
     def begin_step(self, now_s: float) -> None:
         """Hook: observe the simulated clock before this step's admission.
 
         The base policies are clock-free; SLO-aware scheduling
-        (:class:`repro.serving.slo.SLOScheduler`) uses it to compute
-        deadline slack.
+        (:class:`repro.serving.slo.SLOScheduler`) uses it to test how much
+        of a waiter's TTFT budget is gone.
         """
 
     def deadline_victims(
         self,
-        waiting: list[RequestTracker],
+        waiting: WaitQueue,
         running: list[RequestTracker],
         cache: PagedKVCache,
     ) -> list[RequestTracker]:
@@ -117,7 +163,7 @@ class StaticBatchScheduler(Scheduler):
         admitted: list[RequestTracker] = []
         budget = 0
         while waiting and len(admitted) < self.max_batch_size:
-            tr = waiting[0]
+            tr = waiting.head()
             worst = tr.request.max_context
             if admitted and budget + worst > self.max_batch_tokens:
                 break         # FCFS: no skipping past the head
@@ -128,7 +174,7 @@ class StaticBatchScheduler(Scheduler):
                 # transient condition, never a dead end.
                 break
             budget += worst
-            admitted.append(waiting.pop(0))
+            admitted.append(waiting.pop())
         return admitted
 
     def releasable(self, running):
@@ -151,7 +197,7 @@ class ContinuousBatchScheduler(Scheduler):
         admitted: list[RequestTracker] = []
         tokens = sum(tr.context_len for tr in running)
         while waiting and len(running) + len(admitted) < self.max_batch_size:
-            tr = waiting[0]
+            tr = waiting.head()
             ctx = tr.context_len   # prompt, plus kept tokens after preemption
             if tokens + ctx > self.max_batch_tokens:
                 break              # FCFS: no skipping past the head
@@ -165,7 +211,7 @@ class ContinuousBatchScheduler(Scheduler):
                 cache.release(tr.req_id)
                 break
             tokens += ctx
-            admitted.append(waiting.pop(0))
+            admitted.append(waiting.pop())
         return admitted
 
     def releasable(self, running):

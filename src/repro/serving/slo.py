@@ -10,17 +10,17 @@ This module adds that regime on top of continuous batching:
   consumed by queueing before the scheduler intervenes.
 
 * :class:`SLOScheduler` — a :class:`ContinuousBatchScheduler` that (a)
-  admits in *priority-then-deadline* order instead of FCFS: waiting
-  requests sort by descending tenant priority, then ascending slack
-  (time left until the TTFT deadline); and (b) implements
-  *preempt-to-meet-deadline* via the :meth:`Scheduler.deadline_victims`
-  hook — when the most urgent waiter has burnt through its headroom and
-  lower-priority work holds the pages it needs, those victims are
-  recompute-preempted (the engine's existing mechanism) to let it in.
-  Victims are chosen lowest-priority-first, latest-arrival-first, and
-  only when the eviction actually reclaims enough pages to admit the
-  waiter — otherwise nothing is evicted (no thrashing under hopeless
-  pressure).
+  admits in *priority-then-deadline* order instead of FCFS: the waiting
+  queue orders by descending tenant priority, then ascending TTFT
+  deadline (``arrival + target``, the same order as ascending slack);
+  and (b) implements *preempt-to-meet-deadline* via the
+  :meth:`Scheduler.deadline_victims` hook — when the most urgent waiter
+  has burnt through its headroom and lower-priority work holds the pages
+  it needs, those victims are recompute-preempted (the engine's existing
+  mechanism) to let it in.  Victims are chosen lowest-priority-first,
+  latest-arrival-first, and only when the eviction actually reclaims
+  enough pages to admit the waiter — otherwise nothing is evicted (no
+  thrashing under hopeless pressure).
 
 Attainment shows up per tenant in
 :class:`~repro.serving.metrics.TenantReport`.
@@ -37,6 +37,7 @@ from repro.serving.scheduler import (
     SCHEDULERS,
     ContinuousBatchScheduler,
     Scheduler,
+    WaitQueue,
     make_scheduler,
 )
 
@@ -93,7 +94,18 @@ class SLOPolicy:
 
 
 class SLOScheduler(ContinuousBatchScheduler):
-    """Priority + deadline-slack admission with preempt-to-meet-deadline."""
+    """Priority + deadline-slack admission with preempt-to-meet-deadline.
+
+    The waiting queue is keyed ``(-priority, arrival + ttft_target,
+    arrival, req_id)``.  Slack is ``arrival + target - now``, a monotone
+    function of the deadline, so this is the ascending-slack order at
+    every step without re-sorting.  The one place the two can differ is
+    rounding: two same-priority waiters with different TTFT targets whose
+    deadlines differ but whose ``deadline - now`` rounds equal would have
+    tied on slack and fallen through to arrival.  In every shipped tenant
+    mix each priority has a single tenant, hence a single target, so the
+    case cannot arise there.
+    """
 
     name = "slo"
 
@@ -110,34 +122,25 @@ class SLOScheduler(ContinuousBatchScheduler):
     def begin_step(self, now_s: float) -> None:
         self._now_s = now_s
 
-    def _slack_s(self, tr: RequestTracker) -> float:
-        """Seconds left until ``tr`` misses its TTFT target."""
-        target = self.slo_policy.target_for(tr.request.tenant)
-        return tr.request.arrival_s + target.ttft_target_s - self._now_s
+    def queue_key(self, tr: RequestTracker) -> tuple:
+        """Highest priority first, then earliest TTFT deadline.
 
-    def _urgency(self, tr: RequestTracker) -> tuple:
-        return (
-            -tr.request.priority,
-            self._slack_s(tr),
-            tr.request.arrival_s,
-            tr.req_id,
-        )
-
-    def admit(self, waiting, running, cache):
-        # Highest priority first, then least slack: the head-of-line
-        # blocking FCFS imposes is exactly what SLO admission removes.
-        waiting.sort(key=self._urgency)
-        return super().admit(waiting, running, cache)
+        The deadline ``arrival + target`` does not depend on the clock,
+        so a waiter's place in the queue is fixed when it is pushed.
+        """
+        req = tr.request
+        deadline = req.arrival_s + self.slo_policy.target_for(req.tenant).ttft_target_s
+        return (-req.priority, deadline, req.arrival_s, tr.req_id)
 
     def deadline_victims(
         self,
-        waiting: list[RequestTracker],
+        waiting: WaitQueue,
         running: list[RequestTracker],
         cache: PagedKVCache,
     ) -> list[RequestTracker]:
         if not waiting or not running:
             return []
-        head = min(waiting, key=self._urgency)
+        head = waiting.head()
         target = self.slo_policy.target_for(head.request.tenant)
         burn = self.slo_policy.deadline_headroom * target.ttft_target_s
         if self._now_s - head.request.arrival_s < burn:

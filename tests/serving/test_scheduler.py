@@ -10,6 +10,7 @@ from repro.serving.scheduler import (
     SCHEDULERS,
     ContinuousBatchScheduler,
     StaticBatchScheduler,
+    WaitQueue,
     make_scheduler,
 )
 
@@ -51,7 +52,7 @@ class TestStaticBatchScheduler:
         sched = make_scheduler("static")
         cache = cache_with(pages=64)
         running = [tracker(99)]
-        waiting = [tracker(0)]
+        waiting = WaitQueue(sched.queue_key, [tracker(0)])
         assert sched.admit(waiting, running, cache) == []
         assert len(waiting) == 1            # untouched while batch drains
 
@@ -59,7 +60,7 @@ class TestStaticBatchScheduler:
         sched = make_scheduler("static")
         cache = cache_with(pages=64, page_tokens=4)
         tr = tracker(0, prompt=8, new=4)    # max_context 12 -> 3 pages
-        assert sched.admit([tr], [], cache) == [tr]
+        assert sched.admit(WaitQueue(sched.queue_key, [tr]), [], cache) == [tr]
         assert cache.pages_of(0) == 3
 
     def test_fcfs_never_skips_head(self):
@@ -68,7 +69,7 @@ class TestStaticBatchScheduler:
         cache = cache_with(pages=8, page_tokens=4)
         big = tracker(0, prompt=16, new=8)      # 6 pages
         small = tracker(1, prompt=8, new=4)     # 3 pages > 2 free
-        admitted = sched.admit([big, small], [], cache)
+        admitted = sched.admit(WaitQueue(sched.queue_key, [big, small]), [], cache)
         assert admitted == [big]                # small waits its turn
 
     def test_head_that_does_not_fit_waits(self):
@@ -78,16 +79,17 @@ class TestStaticBatchScheduler:
         sched = make_scheduler("static")
         cache = cache_with(pages=2, page_tokens=4)
         huge = tracker(0, prompt=32, new=8)
-        waiting = [huge]
+        waiting = WaitQueue(sched.queue_key, [huge])
         assert sched.admit(waiting, [], cache) == []
-        assert waiting == [huge]            # still queued, nothing reserved
+        assert list(waiting) == [huge]      # still queued, nothing reserved
         assert cache.used_pages == 0
 
     def test_token_budget_bounds_batch(self):
         sched = make_scheduler("static", max_batch_tokens=16)
         cache = cache_with(pages=64)
         a, b = tracker(0, prompt=8, new=4), tracker(1, prompt=8, new=4)
-        assert sched.admit([a, b], [], cache) == [a]   # 12 + 12 > 16
+        waiting = WaitQueue(sched.queue_key, [a, b])
+        assert sched.admit(waiting, [], cache) == [a]   # 12 + 12 > 16
 
     def test_finished_members_do_not_pad_decode(self):
         """Both policies price exactly the live rows: a drained member in a
@@ -120,14 +122,15 @@ class TestContinuousBatchScheduler:
         resident = tracker(0)
         cache.reserve(0, resident.context_len)
         joiner = tracker(1)
-        assert sched.admit([joiner], [resident], cache) == [joiner]
+        waiting = WaitQueue(sched.queue_key, [joiner])
+        assert sched.admit(waiting, [resident], cache) == [joiner]
         assert cache.pages_of(1) == cache.config.pages_for(joiner.context_len)
 
     def test_reserves_current_context_only(self):
         sched = make_scheduler("continuous")
         cache = cache_with(pages=64, page_tokens=4)
         tr = tracker(0, prompt=8, new=100)   # worst case would be 27 pages
-        sched.admit([tr], [], cache)
+        sched.admit(WaitQueue(sched.queue_key, [tr]), [], cache)
         assert cache.pages_of(0) == 2        # just the prompt
 
     def test_token_budget_counts_residents(self):
@@ -136,7 +139,8 @@ class TestContinuousBatchScheduler:
         resident = tracker(0, prompt=16, new=4)
         cache.reserve(0, resident.context_len)
         joiner = tracker(1, prompt=8, new=4)
-        assert sched.admit([joiner], [resident], cache) == []   # 16 + 8 > 20
+        waiting = WaitQueue(sched.queue_key, [joiner])
+        assert sched.admit(waiting, [resident], cache) == []   # 16 + 8 > 20
 
     def test_headroom_guard_keeps_decode_pages(self):
         """Admission leaves >= one free page per resident so the very next
@@ -146,14 +150,15 @@ class TestContinuousBatchScheduler:
         resident = tracker(0, prompt=8, new=4)
         cache.reserve(0, resident.context_len)      # 2 pages
         joiner = tracker(1, prompt=8, new=4)        # would take the last 2
-        assert sched.admit([joiner], [resident], cache) == []
+        waiting = WaitQueue(sched.queue_key, [joiner])
+        assert sched.admit(waiting, [resident], cache) == []
         assert cache.pages_of(1) == 0               # rolled back
 
     def test_empty_device_always_admits_solo_fit(self):
         sched = make_scheduler("continuous")
         cache = cache_with(pages=2, page_tokens=4)
         tr = tracker(0, prompt=8, new=4)
-        assert sched.admit([tr], [], cache) == [tr]
+        assert sched.admit(WaitQueue(sched.queue_key, [tr]), [], cache) == [tr]
 
     def test_decode_members_skip_finished(self):
         sched = make_scheduler("continuous")

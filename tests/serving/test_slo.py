@@ -21,6 +21,7 @@ from repro.serving import (
 )
 from repro.serving.kvcache import KVCacheConfig, PagedKVCache
 from repro.serving.request import RequestTracker
+from repro.serving.scheduler import WaitQueue
 
 
 def cache_with(pages, page_tokens=4):
@@ -66,7 +67,8 @@ class TestSLOScheduler:
         lo_late = tracker(0, arrival=0.0, priority=0)
         hi = tracker(1, arrival=0.01, priority=2)
         lo_early = tracker(2, arrival=0.005, priority=0)
-        admitted = sched.admit([lo_late, hi, lo_early], [], cache)
+        waiting = WaitQueue(sched.queue_key, [lo_late, hi, lo_early])
+        admitted = sched.admit(waiting, [], cache)
         assert [tr.req_id for tr in admitted] == [1, 0, 2]
 
     def test_no_eviction_inside_the_headroom_budget(self):
@@ -77,7 +79,8 @@ class TestSLOScheduler:
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, prompt=8, new=4, arrival=0.0, priority=2)
         sched.begin_step(0.5)      # 50% of the budget burnt < 80%
-        assert sched.deadline_victims([waiter], [resident], cache) == []
+        waiting = WaitQueue(sched.queue_key, [waiter])
+        assert sched.deadline_victims(waiting, [resident], cache) == []
 
     def test_evicts_lower_priority_after_headroom(self):
         policy = SLOPolicy(default_ttft_s=1.0, deadline_headroom=0.8)
@@ -87,7 +90,8 @@ class TestSLOScheduler:
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, prompt=8, new=4, arrival=0.0, priority=2)
         sched.begin_step(0.9)      # budget burnt
-        assert sched.deadline_victims([waiter], [resident], cache) == [resident]
+        waiting = WaitQueue(sched.queue_key, [waiter])
+        assert sched.deadline_victims(waiting, [resident], cache) == [resident]
 
     def test_never_evicts_equal_or_higher_priority(self):
         policy = SLOPolicy(default_ttft_s=1.0, deadline_headroom=0.5)
@@ -97,7 +101,8 @@ class TestSLOScheduler:
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, prompt=8, new=4, arrival=0.0, priority=2)
         sched.begin_step(0.9)
-        assert sched.deadline_victims([waiter], [resident], cache) == []
+        waiting = WaitQueue(sched.queue_key, [waiter])
+        assert sched.deadline_victims(waiting, [resident], cache) == []
 
     def test_hopeless_eviction_does_not_thrash(self):
         """If evicting every lower-priority resident still cannot admit
@@ -109,7 +114,8 @@ class TestSLOScheduler:
         assert cache.reserve(0, resident.context_len)
         huge = tracker(1, prompt=64, new=4, arrival=0.0, priority=2)
         sched.begin_step(0.9)
-        assert sched.deadline_victims([huge], [resident], cache) == []
+        waiting = WaitQueue(sched.queue_key, [huge])
+        assert sched.deadline_victims(waiting, [resident], cache) == []
 
     def test_no_action_when_already_admissible(self):
         sched = SLOScheduler(policy=SLOPolicy(default_ttft_s=0.01))
@@ -118,7 +124,8 @@ class TestSLOScheduler:
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, arrival=0.0, priority=2)
         sched.begin_step(5.0)      # way past the deadline, but room exists
-        assert sched.deadline_victims([waiter], [resident], cache) == []
+        waiting = WaitQueue(sched.queue_key, [waiter])
+        assert sched.deadline_victims(waiting, [resident], cache) == []
 
 
 def overload_workload(n):
