@@ -1,11 +1,11 @@
-"""Wall-clock benchmark: vectorized and codegen backends vs the loop oracle.
+"""Wall-clock benchmark: the codegen backend vs the loop oracle.
 
 Unlike every other ``bench_*`` module, this one measures *real* Python
 wall-clock, not simulated device time: it times ``run()`` of both STOF
-kernels under all three execution backends (``vectorized`` / ``loop`` /
-``codegen``) on the Fig. 10/11 sweep shapes (BERT-Base geometry: 12 heads
-x 64) and reports the speedup of the flat-gather engine and the
-plan-specialized generated modules over the per-row/per-block loops.
+kernels under both execution backends (``codegen`` / ``loop``) on the
+Fig. 10/11 sweep shapes (BERT-Base geometry: 12 heads x 64) and reports
+the speedup of the plan-specialized generated modules over the
+per-row/per-block loops.
 
 Artifacts:
 
@@ -88,23 +88,18 @@ def run_wallclock(full: bool) -> list[dict]:
                 (RowWiseKernel, "rowwise"),
                 (BlockWiseKernel, "blockwise"),
             ):
-                vec = cls(exec_backend="vectorized")
                 loop = cls(exec_backend="loop")
                 cg = cls(exec_backend="codegen")
-                params = vec.default_params(prob, RTX4090)
-                # Warmup builds the shared mask caches (CSR/BSR, flat-COO
-                # views, concat groups) both backends then reuse — the
-                # amortized steady state the paper's repeated-serving
-                # regime measures.  For codegen, warmup additionally pays
-                # the one-time emission (or disk-cache load); the timed
-                # reps measure the warm per-call path, matching how a
-                # compiled plan is actually served.
-                vec.run(prob, params)
+                params = cg.default_params(prob, RTX4090)
+                # Warmup builds the shared mask caches (CSR/BSR, concat
+                # groups) and pays codegen's one-time emission (or
+                # disk-cache load); the timed reps measure the warm
+                # per-call path — the amortized steady state the paper's
+                # repeated-serving regime measures, matching how a compiled
+                # plan is actually served.
                 cg.run(prob, params)
-                times = _time_runs(
-                    {"vec": vec, "cg": cg, "loop": loop}, prob, params, reps
-                )
-                t_vec, t_cg, t_loop = times["vec"], times["cg"], times["loop"]
+                times = _time_runs({"cg": cg, "loop": loop}, prob, params, reps)
+                t_cg, t_loop = times["cg"], times["loop"]
                 records.append(
                     {
                         "pattern": pattern,
@@ -113,9 +108,7 @@ def run_wallclock(full: bool) -> list[dict]:
                         "kernel": kname,
                         "reps": reps,
                         "loop_ms": round(t_loop * 1e3, 3),
-                        "vectorized_ms": round(t_vec * 1e3, 3),
                         "codegen_ms": round(t_cg * 1e3, 3),
-                        "speedup": round(t_loop / t_vec, 2),
                         "codegen_speedup": round(t_loop / t_cg, 2),
                     }
                 )
@@ -127,26 +120,20 @@ def _geomean(values) -> float:
 
 
 def summarize(records: list[dict]) -> dict:
-    speedups = [r["speedup"] for r in records]
     cg_speedups = [r["codegen_speedup"] for r in records]
     by_kernel = {}
     for kname in ("rowwise", "blockwise"):
-        ks = [r["speedup"] for r in records if r["kernel"] == kname]
         cs = [r["codegen_speedup"] for r in records if r["kernel"] == kname]
-        if ks:
+        if cs:
             by_kernel[kname] = {
-                "geomean_speedup": round(_geomean(ks), 2),
-                "max_speedup": max(ks),
-                "min_speedup": min(ks),
                 "geomean_codegen_speedup": round(_geomean(cs), 2),
                 "max_codegen_speedup": max(cs),
                 "min_codegen_speedup": min(cs),
             }
     return {
-        "geomean_speedup": round(_geomean(speedups), 2),
-        "max_speedup": max(speedups),
-        "min_speedup": min(speedups),
         "geomean_codegen_speedup": round(_geomean(cg_speedups), 2),
+        "max_codegen_speedup": max(cg_speedups),
+        "min_codegen_speedup": min(cg_speedups),
         "by_kernel": by_kernel,
     }
 
@@ -158,9 +145,7 @@ def emit_wallclock(records: list[dict], full: bool) -> dict:
             f"({r['batch']},{r['seq_len']})",
             r["kernel"],
             r["loop_ms"],
-            r["vectorized_ms"],
             r["codegen_ms"],
-            f"{r['speedup']:.2f}x",
             f"{r['codegen_speedup']:.2f}x",
         ]
         for r in records
@@ -170,8 +155,7 @@ def emit_wallclock(records: list[dict], full: bool) -> dict:
         "wallclock",
         format_table(
             [
-                "mask", "(bs,seq)", "kernel", "loop ms", "vec ms",
-                "cg ms", "vec speedup", "cg speedup",
+                "mask", "(bs,seq)", "kernel", "loop ms", "cg ms", "cg speedup",
             ],
             rows,
             title=f"Execution-backend wall-clock ({mode} grid, 12 heads x 64)",
@@ -190,18 +174,17 @@ def emit_wallclock(records: list[dict], full: bool) -> dict:
 
 
 def test_wallclock_smoke():
-    """CI smoke: the quick grid runs, the vectorized path never loses big.
+    """CI smoke: the quick grid runs, the codegen path never loses big.
 
-    A genuine regression (vectorized slower than the loop it replaced)
-    shows up as speedup << 1; shared-runner noise on the tiny quick shapes
-    justifies nothing stricter than a generous floor.
+    A genuine regression (codegen slower than the loop oracle) shows up as
+    speedup << 1; shared-runner noise on the tiny quick shapes justifies
+    nothing stricter than a generous floor.
     """
     records = run_wallclock(full=False)
     payload = emit_wallclock(records, full=False)
     assert JSON_PATH.exists()
-    assert all(r["vectorized_ms"] > 0 and r["loop_ms"] > 0 for r in records)
+    assert all(r["loop_ms"] > 0 for r in records)
     assert all(r["codegen_ms"] > 0 for r in records)
-    assert payload["summary"]["geomean_speedup"] > 0.5
     assert payload["summary"]["geomean_codegen_speedup"] > 0.5
 
 

@@ -863,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mask(p, default="bigbird")
     p.add_argument("--engine", default="stof")
     p.add_argument("--exec-backend", default=None,
-                   choices=("vectorized", "loop", "codegen"),
+                   choices=("codegen", "loop"),
                    help="compile workload: also execute a forward pass "
                         "under this execution backend so kernel spans "
                         "(e.g. codegen.emit vs codegen.exec) are traced")

@@ -2,38 +2,34 @@
 
 Bind path for one problem:
 
-1. :func:`codegen_plan_key` — a :class:`repro.plan.PlanKey` whose ``salt``
-   carries the template name *and emission version* (satellite of the plan
-   layer: bumping a template version changes every digest it produced, so
-   stale cached modules can never be looked up again).
-2. :func:`generated_kernel` — consult the :mod:`repro.codegen.cache`
-   (memory, then disk, verified by content hash), emit only on a miss.
-   Every lookup records a ``codegen.cache`` tracer span with its outcome;
-   emission records a ``codegen.emit`` span — warm runs therefore show
-   *zero* ``codegen.emit`` spans, which the round-trip tests pin.
+1. :func:`codegen_plan_key` — the family *base* :class:`repro.plan.PlanKey`:
+   geometry + mask bits + kernel parameters with ``n_bh`` freed (the only
+   dimension whose value can steer emission without changing the mask).
+   Its ``salt`` carries the template name *and emission version*, so
+   bumping a template version changes every digest it produced and stale
+   cached modules can never be looked up again.
+2. :func:`generated_family_kernel` — consult the :mod:`repro.codegen.cache`
+   family index, then its memory and disk tiers (verified by content
+   hash), and emit only on a miss.  Emission runs under a
+   :class:`repro.plan.symbolic.GuardRecorder`; the recorded guards become
+   the family's admission predicate, and every ``n_bh`` the guards admit
+   shares one cached module.  A guard failure emits a sibling family —
+   never reuses the old module.  Every lookup records a ``codegen.cache``
+   tracer span with its outcome; emission records a ``codegen.emit`` span —
+   warm runs therefore show *zero* ``codegen.emit`` spans, which the
+   round-trip tests pin.
 3. ``entry.run(q, k, v)`` — the generated module's ``run`` with its bound
    constant pool.  Operands arrive pre-scaled fp32, exactly as the loop
-   and vectorized backends receive them.
-
-With symbolic codegen enabled (``STOF_CODEGEN_SYMBOLIC=1`` or
-:func:`use_symbolic_codegen`), step 1 frees ``n_bh`` (the only dimension
-whose value can steer emission without changing the mask) and step 2 goes
-through :func:`generated_family_kernel` instead: emission runs under a
-:class:`repro.plan.symbolic.GuardRecorder`, the recorded guards become
-the family's admission predicate, and every ``n_bh`` the guards admit
-shares one cached module.  A guard failure emits a sibling family —
-never reuses the old module.  The flag defaults off; the concrete path
-and its digests are byte-identical to before.
+   oracle receives them.  When a metrics registry is installed, the
+   module's ``COUNTERS`` table is scaled by the call's ``n_bh`` and
+   recorded as the ``mha.*`` kernel counters.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-from contextlib import contextmanager
 from types import ModuleType
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -47,69 +43,35 @@ from repro.obs.tracer import current_tracer
 from repro.plan.key import PlanKey, params_key
 from repro.plan.symbolic import GuardRecorder, SymbolicPlanKey
 
-#: Environment variable opting into symbolic (guarded-family) codegen.
-SYMBOLIC_ENV = "STOF_CODEGEN_SYMBOLIC"
-
-_symbolic_override = threading.local()
-
-
-def symbolic_codegen_enabled() -> bool:
-    """Whether codegen keys free ``n_bh`` into guarded families."""
-    override = getattr(_symbolic_override, "value", None)
-    if override is not None:
-        return override
-    return os.environ.get(SYMBOLIC_ENV, "").strip().lower() in {
-        "1", "true", "yes", "on"
-    }
-
-
-@contextmanager
-def use_symbolic_codegen(enabled: bool = True) -> Iterator[None]:
-    """Scope symbolic codegen on (or off) for the current thread."""
-    prev = getattr(_symbolic_override, "value", None)
-    _symbolic_override.value = enabled
-    try:
-        yield
-    finally:
-        _symbolic_override.value = prev
-
 
 def codegen_plan_key(
     kind: str,
     problem: Any,
     params: dict[str, Any] | None = None,
     template: str = "blockwise",
-    symbolic: tuple[str, ...] = (),
 ) -> PlanKey:
-    """Content-address one specialization.
+    """Content-address one specialization family.
 
     The key is pure problem identity (geometry + mask bits + kernel
     parameters) — no device spec, because the emitted NumPy is
-    device-independent.  ``salt`` folds in the template name and version so
-    a template upgrade invalidates every module the old emission produced.
-
-    ``symbolic=("n_bh",)`` builds the family *base* instead: batch and
-    heads are zeroed (their product is the freed dimension) and the salt
-    marks the key as symbolic so family bases can never collide with
-    concrete keys of the same geometry.
+    device-independent.  Batch and heads are zeroed: their product
+    ``n_bh`` is the freed dimension the family's guards range over.
+    ``salt`` folds in the template name and version so a template upgrade
+    invalidates every module the old emission produced, and marks the key
+    as symbolic (``:sym(n_bh)``).
     """
     tmpl = get_template(template)
-    salt = f"codegen:{tmpl.name}:v{tmpl.version}"
-    batch, heads = problem.batch, problem.heads
-    if "n_bh" in symbolic:
-        batch = heads = 0
-        salt += ":sym(n_bh)"
     return PlanKey(
         kind=kind,
-        batch=batch,
-        heads=heads,
+        batch=0,
+        heads=0,
         seq_len=problem.seq_len,
         kv_seq_len=problem.kv_seq_len,
         head_size=problem.head_size,
         pattern=problem.pattern,
         mask=problem.mask_fingerprint(),
         params=params_key(params),
-        salt=salt,
+        salt=f"codegen:{tmpl.name}:v{tmpl.version}:sym(n_bh)",
     )
 
 
@@ -120,64 +82,6 @@ def _exec_module(source: str, digest: str) -> ModuleType:
     code = compile(source, f"<codegen:{digest[:16]}>", "exec")
     exec(code, mod.__dict__)
     return mod
-
-
-def generated_kernel(
-    key: PlanKey,
-    template: str,
-    build: Callable[[str], GeneratedSource],
-) -> CacheEntry:
-    """The bound generated kernel for ``key`` (emitting only on a miss)."""
-    tmpl = get_template(template)
-    cache = codegen_cache()
-    digest = key.digest
-    tracer = current_tracer()
-    m = current_metrics()
-
-    with tracer.span("codegen.cache", cat="codegen", template=template) as sp:
-        entry = cache.get(digest)
-        if entry is not None:
-            sp.add(outcome="hit-memory")
-            if m.enabled:
-                m.counter(
-                    "codegen.cache", template=template, outcome="hit-memory"
-                ).inc()
-            return entry
-        loaded = cache.load_disk(digest, tmpl.name, tmpl.version)
-        if loaded is not None:
-            source, consts, _meta = loaded
-            entry = CacheEntry(
-                key, tmpl.name, tmpl.version, source,
-                _exec_module(source, digest), consts,
-            )
-            cache.put(digest, entry)
-            sp.add(outcome="hit-disk")
-            if m.enabled:
-                m.counter(
-                    "codegen.cache", template=template, outcome="hit-disk"
-                ).inc()
-            return entry
-        sp.add(outcome="miss")
-        if m.enabled:
-            m.counter("codegen.cache", template=template, outcome="miss").inc()
-    cache.misses += 1
-
-    with tracer.span("codegen.emit", cat="codegen", template=template) as sp:
-        gen = build(digest)
-        sp.add(
-            lines=gen.source.count("\n"),
-            consts=len(gen.consts),
-            version=gen.version,
-        )
-        if m.enabled:
-            m.counter("codegen.emit", template=template).inc()
-    entry = CacheEntry(
-        key, gen.template, gen.version, gen.source,
-        _exec_module(gen.source, digest), gen.consts,
-    )
-    cache.put(digest, entry)
-    cache.store_disk(digest, key, gen.template, gen.version, gen.source, gen.consts)
-    return entry
 
 
 def family_digest(base: PlanKey, guards) -> str:
@@ -195,11 +99,11 @@ def generated_family_kernel(
 ) -> CacheEntry:
     """The bound generated kernel for a *family* probe.
 
-    ``base`` is the family base key (:func:`codegen_plan_key` with
-    ``symbolic=``); ``shape`` binds the freed dims to this problem's
-    concrete values.  The family index is scanned first — a family whose
-    guards admit ``shape`` resolves through the ordinary memory/disk
-    tiers under its family digest.  On a miss, ``build`` emits under a
+    ``base`` is the family base key (:func:`codegen_plan_key`); ``shape``
+    binds the freed dims to this problem's concrete values.  The family
+    index is scanned first — a family whose guards admit ``shape``
+    resolves through the ordinary memory/disk tiers under its family
+    digest.  On a miss, ``build`` emits under a
     fresh :class:`GuardRecorder`; the guards it records become the new
     family's admission predicate, and the module is cached under
     ``sha256(base.digest + ":" + guards.digest)``.
@@ -295,41 +199,26 @@ def run_blockwise(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    *,
+    kernel: str,
 ) -> np.ndarray:
     """Execute one blockwise problem through its generated module."""
-    symbolic = symbolic_codegen_enabled()
 
     def resolve() -> CacheEntry:
         params = {"block_m": bsr.block_m, "block_n": bsr.block_n}
-        if symbolic:
-            base = codegen_plan_key(
-                "codegen-blockwise", problem, params,
-                template="blockwise", symbolic=("n_bh",),
-            )
-            return generated_family_kernel(
-                base,
-                "blockwise",
-                {"n_bh": problem.n_bh},
-                lambda digest, rec: specialize_blockwise(
-                    bsr, problem.n_bh, digest, problem.pattern,
-                    mask=problem.mask, sym=rec,
-                ),
-            )
-        key = codegen_plan_key(
-            "codegen-blockwise", problem, params, template="blockwise"
-        )
-        return generated_kernel(
-            key,
+        return generated_family_kernel(
+            codegen_plan_key("codegen-blockwise", problem, params, "blockwise"),
             "blockwise",
-            lambda digest: specialize_blockwise(
-                bsr, problem.n_bh, digest, problem.pattern, mask=problem.mask
+            {"n_bh": problem.n_bh},
+            lambda digest, rec: specialize_blockwise(
+                bsr, rec, digest, problem.pattern, mask=problem.mask
             ),
         )
 
     entry = _problem_entry(
-        problem, ("blockwise", bsr.block_m, bsr.block_n, symbolic), resolve
+        problem, ("blockwise", bsr.block_m, bsr.block_n), resolve
     )
-    return _traced_run(entry, "blockwise", q, k, v)
+    return _traced_run(entry, "blockwise", kernel, q, k, v)
 
 
 def run_rowwise(
@@ -339,43 +228,49 @@ def run_rowwise(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    *,
+    kernel: str,
 ) -> np.ndarray:
     """Execute one rowwise problem through its generated module."""
-    symbolic = symbolic_codegen_enabled()
 
     def resolve() -> CacheEntry:
-        if symbolic:
-            base = codegen_plan_key(
-                "codegen-rowwise", problem, None,
-                template="rowwise", symbolic=("n_bh",),
-            )
-            return generated_family_kernel(
-                base,
-                "rowwise",
-                {"n_bh": problem.n_bh},
-                lambda digest, rec: specialize_rowwise(
-                    row_ptr, col_idx, problem.mask, problem.n_bh,
-                    problem.head_size, digest, problem.pattern, sym=rec,
-                ),
-            )
-        key = codegen_plan_key(
-            "codegen-rowwise", problem, None, template="rowwise"
-        )
-        return generated_kernel(
-            key,
+        return generated_family_kernel(
+            codegen_plan_key("codegen-rowwise", problem, None, "rowwise"),
             "rowwise",
-            lambda digest: specialize_rowwise(
-                row_ptr, col_idx, problem.mask, problem.n_bh,
-                problem.head_size, digest, problem.pattern,
+            {"n_bh": problem.n_bh},
+            lambda digest, rec: specialize_rowwise(
+                row_ptr, col_idx, problem.mask, problem.head_size, rec,
+                digest, problem.pattern,
             ),
         )
 
-    entry = _problem_entry(problem, ("rowwise", symbolic), resolve)
-    return _traced_run(entry, "rowwise", q, k, v)
+    entry = _problem_entry(problem, ("rowwise",), resolve)
+    return _traced_run(entry, "rowwise", kernel, q, k, v)
+
+
+def _record_counters(entry: CacheEntry, kernel: str, n_bh: int, d: int) -> None:
+    """Record the module's ``COUNTERS`` table, scaled to this call.
+
+    See :func:`repro.codegen.templates.emit_counters` for the row format.
+    """
+    m = current_metrics()
+    if not m.enabled:
+        return
+    for name, label, value, scale, amount in entry.module.COUNTERS:
+        if scale == "chunks":
+            amount = -(-n_bh // amount)
+        elif scale == "kv_bytes":
+            amount = 2.0 * n_bh * amount * d * 4.0
+        m.counter(name, kernel=kernel, **{label: value}).inc(amount)
 
 
 def _traced_run(
-    entry: CacheEntry, template: str, q: np.ndarray, k: np.ndarray, v: np.ndarray
+    entry: CacheEntry,
+    template: str,
+    kernel: str,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
 ) -> np.ndarray:
     """Run the bound module, under a ``codegen.exec`` span when tracing.
 
@@ -384,6 +279,7 @@ def _traced_run(
     per-call execution — the guarded fast path keeps the untraced hot
     loop at a single attribute check.
     """
+    _record_counters(entry, kernel, q.shape[0], q.shape[2])
     tracer = current_tracer()
     if not tracer.enabled:
         return entry.run(q, k, v)

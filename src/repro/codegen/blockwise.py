@@ -1,7 +1,11 @@
 """Blockwise plan-to-code specializer.
 
 Emits one straight-line Python/NumPy module per (mask, geometry, block
-parameters): the vectorized backend's per-``concat_groups`` traversal is
+parameters, ``n_bh`` guard family): Q/K/V are staged as padded tile views,
+and for every ``BlockSparseMask.concat_groups()`` bucket the member block
+rows' valid K/V tiles are concatenated along the key axis, so each bucket
+is one batched score matmul, one additive-bias add and a plain last-axis
+softmax (each block row's segment *is* the last axis).  The traversal is
 unrolled at emission time, with bucket membership, tile columns, strides,
 and chunk sizes baked in as literals.  Dead branches are eliminated by
 *proof from the mask*:
@@ -15,9 +19,9 @@ and chunk sizes baked in as literals.  Dead branches are eliminated by
 * the chunk loop of gathered groups collapses to straight-line code when
   one chunk covers the whole ``batch*heads`` axis.
 
-The emitted arithmetic mirrors ``BlockWiseKernel._run_vectorized``
-operation for operation, so outputs agree with both existing backends at
-the FP16 noise floor (differentially tested, no tolerance widening).
+Outputs agree with ``BlockWiseKernel``'s loop oracle at the FP16 noise
+floor (summation order differs; differentially tested, no tolerance
+widening).
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.codegen.emit import IndentedBuffer
-from repro.codegen.templates import GeneratedSource, module_header, register_template
+from repro.codegen.templates import (
+    GeneratedSource,
+    emit_counters,
+    module_header,
+    register_template,
+)
 from repro.masks.bsr import BlockSparseMask
 from repro.mha.kernel import GATHER_CHUNK_ELEMS
 
@@ -36,7 +45,7 @@ if TYPE_CHECKING:  # annotation-only: the plan layer never runs at emit time
 
 #: Bump when the emitted code changes shape: stale cached modules (disk and
 #: in-memory) are invalidated through the plan key, never silently reused.
-BLOCKWISE_TEMPLATE_VERSION = 1
+BLOCKWISE_TEMPLATE_VERSION = 2
 
 #: Dense lowering: when the mask is near-dense at block granularity, the
 #: group-wise traversal degenerates into many small batched GEMMs plus tile
@@ -59,9 +68,10 @@ BANDED_DENSE_FACTOR = 1.25
 def _banded_layout(cols: np.ndarray) -> tuple[int, int] | None:
     """(start, step) when a group's tile columns admit a strided view.
 
-    Mirrors ``repro.mha.blockwise._banded_view`` legality: per-row tile
-    columns consecutive, first column advancing by one uniform non-negative
-    step — the banded/uniform-pattern case.
+    Legal when every row's tile columns are consecutive and the first
+    column advances by one uniform non-negative step per row — the
+    banded/uniform-pattern case.  Each ``(cap*b, d)`` slice of the view is
+    then a plain contiguous slice of K/V: no copy, no gather.
     """
     n_g, cap = cols.shape
     if cap > 1 and not (np.diff(cols, axis=1) == 1).all():
@@ -96,8 +106,8 @@ def _padded_elems(bsr: BlockSparseMask) -> int:
 def _retile_banded(bsr: BlockSparseMask, mask: np.ndarray) -> BlockSparseMask:
     """Re-tile a fully banded mask at a finer granularity when that shrinks it.
 
-    The kernel's block size is chosen by the vectorized backend's cost
-    model, where big tiles amortize gather bookkeeping.  The banded
+    The kernel's block size is chosen by the analytical cost model, where
+    big tiles amortize per-block work on the device.  The banded
     lowering has *no* gather — K/V feed the einsum through zero-copy
     strided views — so the only cost that scales with tile size is band
     over-coverage: a 64-wide tile row covers a ~45-wide band with ~40%
@@ -153,11 +163,10 @@ def _dense_lowering(bsr: BlockSparseMask, mask: np.ndarray | None) -> bool:
 
 def specialize_blockwise(
     bsr: BlockSparseMask,
-    n_bh: int,
+    sym: "GuardRecorder",
     digest: str = "",
     pattern: str = "custom",
     mask: np.ndarray | None = None,
-    sym: "GuardRecorder | None" = None,
 ) -> GeneratedSource:
     """Render the specialized module for one BSR mask view.
 
@@ -167,8 +176,8 @@ def specialize_blockwise(
     lowering is available.
 
     ``sym`` (a :class:`repro.plan.symbolic.GuardRecorder` binding
-    ``n_bh``) routes every n_bh-dependent emission decision through guard
-    recording, so one emitted module is shared across the whole n_bh
+    ``n_bh``) answers every n_bh-dependent emission decision and records
+    its guard, so one emitted module is shared across the whole n_bh
     region that takes the same branches (the emitted text reads ``n_bh``
     from ``q.shape[0]`` at run time; nothing n_bh-derived is baked in
     beyond those decisions).
@@ -176,7 +185,7 @@ def specialize_blockwise(
     if mask is not None:
         bsr = _retile_banded(bsr, mask)
     if _dense_lowering(bsr, mask):
-        return _specialize_dense(bsr, mask, n_bh, digest, pattern, sym)
+        return _specialize_dense(bsr, mask, digest, pattern, sym)
     bm, bn = bsr.block_m, bsr.block_n
     seq, kv = bsr.seq_len, bsr.kv_len
     nbr, nbc = bsr.n_block_rows, bsr.n_block_cols
@@ -184,6 +193,7 @@ def specialize_blockwise(
 
     buf = IndentedBuffer()
     consts: list[np.ndarray] = []
+    counters: list[tuple] = []
 
     def const(arr: np.ndarray) -> str:
         consts.append(arr)
@@ -199,7 +209,7 @@ def specialize_blockwise(
                 "seq": seq,
                 "kv": kv,
                 "block": f"({bm},{bn})",
-                "n_bh": "sym" if sym is not None else n_bh,
+                "n_bh": "sym",
                 "valid_blocks": bsr.n_valid,
                 "groups": len(groups),
             },
@@ -220,6 +230,7 @@ def specialize_blockwise(
         buf.writeline("d = q.shape[2]")
         if bsr.n_valid == 0:
             buf.writeline(f"return np.zeros((n_bh, {seq}, d), dtype=np.float16)")
+            emit_counters(buf, counters)
             return GeneratedSource(
                 "blockwise", BLOCKWISE_TEMPLATE_VERSION, buf.getvalue(), consts
             )
@@ -238,9 +249,10 @@ def specialize_blockwise(
             buf.writeline("vs0, vs1, vs2 = flatv.strides")
 
         for gi, (rows_g, idx, slab) in enumerate(groups):
-            _emit_group(buf, const, bsr, gi, rows_g, idx, slab, n_bh, sym)
+            _emit_group(buf, const, counters, bsr, gi, rows_g, idx, slab, sym)
 
         buf.writeline(f"return out[:, :{seq}]")
+    emit_counters(buf, counters)
     return GeneratedSource(
         "blockwise", BLOCKWISE_TEMPLATE_VERSION, buf.getvalue(), consts
     )
@@ -249,10 +261,9 @@ def specialize_blockwise(
 def _specialize_dense(
     bsr: BlockSparseMask,
     mask: np.ndarray,
-    n_bh: int,
     digest: str,
     pattern: str,
-    sym: "GuardRecorder | None" = None,
+    sym: "GuardRecorder",
 ) -> GeneratedSource:
     """Dense lowering: one masked softmax over the full score matrix.
 
@@ -278,7 +289,7 @@ def _specialize_dense(
                 "pattern": pattern,
                 "seq": seq,
                 "kv": kv,
-                "n_bh": "sym" if sym is not None else n_bh,
+                "n_bh": "sym",
                 "lowering": "dense",
                 "density": f"{mask.mean():.3f}",
             },
@@ -306,10 +317,7 @@ def _specialize_dense(
         alloc = "zeros" if dead else "empty"
         g_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, seq * kv)))
         buf.writeline(f"out = np.{alloc}((n_bh, {seq}, d), dtype=np.float16)")
-        one_chunk = (
-            sym.le("n_bh", g_chunk) if sym is not None else g_chunk >= n_bh
-        )
-        if one_chunk:
+        if sym.le("n_bh", g_chunk):
             buf.writeline("s = q @ k.swapaxes(-1, -2)")
             if biased:
                 buf.writeline(f"s += {bias_ref}")
@@ -327,6 +335,13 @@ def _specialize_dense(
                 buf.writeline("o = s @ v[gs]")
                 buf.writeline(f"np.divide(o, l, out=out[gs]{where})")
         buf.writeline("return out")
+    emit_counters(
+        buf,
+        [
+            ("mha.path", "path", "dense", "count", 1),
+            ("mha.chunks", "path", "dense", "chunks", g_chunk),
+        ],
+    )
     return GeneratedSource(
         "blockwise", BLOCKWISE_TEMPLATE_VERSION, buf.getvalue(), consts
     )
@@ -360,13 +375,13 @@ def _emit_tiles(
 def _emit_group(
     buf: IndentedBuffer,
     const,
+    counters: list[tuple],
     bsr: BlockSparseMask,
     gi: int,
     rows_g: np.ndarray,
     idx: np.ndarray,
     slab: np.ndarray | None,
-    n_bh: int,
-    sym: "GuardRecorder | None" = None,
+    sym: "GuardRecorder",
 ) -> None:
     bm, bn = bsr.block_m, bsr.block_n
     n_g, cap = idx.shape
@@ -375,7 +390,7 @@ def _emit_group(
     contig = int(rows_g[-1]) - int(rows_g[0]) + 1 == n_g
     a, b_hi = int(rows_g[0]), int(rows_g[-1]) + 1
     # A fully-masked query row is exactly a slab row that is all -inf; only
-    # those groups need the NaN guards the vectorized backend always pays.
+    # those groups need the NaN guards (isfinite max fixup, where= divide).
     dead = slab is not None and bool(np.isinf(slab).all(axis=-1).any())
     bias_ref = const(slab) if slab is not None else None
 
@@ -389,6 +404,8 @@ def _emit_group(
         rows_ref_arr = const(rows_g.astype(np.int64))
 
     if banded is not None:
+        counters.append(("mha.path", "path", "banded", "count", 1))
+        counters.append(("mha.chunks", "path", "banded", "count", 1))
         start, step = banded
         shape = f"(n_bh, {n_g}, {cap * bn}, d)"
         buf.writeline(
@@ -411,10 +428,12 @@ def _emit_group(
     # Gathered group: per-chunk tile gathers bounded by GATHER_CHUNK_ELEMS.
     cg = const(cols)
     g_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, n_g * bm * cap * bn)))
-    one_chunk = (
-        sym.le("n_bh", g_chunk) if sym is not None else g_chunk >= n_bh
+    counters.append(("mha.path", "path", "gather", "count", 1))
+    counters.append(("mha.chunks", "path", "gather", "chunks", g_chunk))
+    counters.append(
+        ("mha.gather_bytes", "cap", int(cap), "kv_bytes", n_g * int(cap) * bn)
     )
-    if one_chunk:
+    if sym.le("n_bh", g_chunk):
         buf.writeline(f"kg = kb[:, {cg}].reshape(n_bh, {n_g}, {cap * bn}, d)")
         buf.writeline(f"vg = vb[:, {cg}].reshape(n_bh, {n_g}, {cap * bn}, d)")
         qg = f"qb[:, {rows_ref}]" if contig else f"qb[:, {rows_ref_arr}]"

@@ -1,6 +1,6 @@
 """Content-addressed cache for generated kernel modules.
 
-Two tiers, both keyed by the codegen :class:`repro.plan.PlanKey` digest:
+Two tiers, both keyed by a module's family digest (see *families* below):
 
 * **in-memory** — bound, executable entries (module + consts pool); hits
   cost a dict lookup, nothing is re-emitted or re-``exec``'d.
@@ -19,8 +19,9 @@ the cache is in-memory only — tests opt into disk via
 Symbolic *families* add a third index on top: a family groups every
 ``n_bh`` that emits byte-identical source under one guarded digest (see
 :mod:`repro.plan.symbolic` and :func:`repro.codegen.backend.`
-``generated_family_kernel``).  The cache stores, per family *base*
-digest, the list of ``(guards, family digest)`` pairs —
+``generated_family_kernel``); every generated module is keyed this way.
+The cache stores, per family *base* digest, the list of
+``(guards, family digest)`` pairs —
 :meth:`GeneratedCodeCache.find_family` scans it with the probe shape and
 returns the admitting family's digest, which then resolves through the
 ordinary two tiers above.  On disk the index is one

@@ -1,16 +1,16 @@
 """Rowwise plan-to-code specializer.
 
-Emits one module per (mask, geometry): the vectorized backend's 64-row
-grouping, dense-range-vs-gather split, and power-of-two length bucketing
-are all decided at emission time from the element CSR, leaving straight-line
-NumPy with literal slice bounds, baked bias constants, and pre-gathered
+Emits one module per (mask, geometry, ``n_bh`` guard family): non-empty
+rows are grouped ``ROW_GROUP`` at a time, each group is split into a
+dense-range slice or power-of-two length gather buckets, and all of it is
+decided at emission time from the element CSR, leaving straight-line NumPy
+with literal slice bounds, baked bias constants, and pre-gathered
 index/padding tables.  Dead branches go away: the bias add is skipped for
 full-dense row ranges, padding-lane masking is skipped for exact buckets,
 and chunk loops collapse when one chunk covers the axis.
 
-The emitted arithmetic mirrors ``RowWiseKernel._run_vectorized`` /
-``_gather_buckets`` operation for operation — outputs agree with both
-existing backends at the FP16 noise floor.
+Outputs agree with ``RowWiseKernel``'s loop oracle at the FP16 noise floor
+(summation order differs by padded/masked lanes only).
 """
 
 from __future__ import annotations
@@ -20,35 +20,49 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.codegen.emit import IndentedBuffer
-from repro.codegen.templates import GeneratedSource, module_header, register_template
+from repro.codegen.templates import (
+    GeneratedSource,
+    emit_counters,
+    module_header,
+    register_template,
+)
 from repro.mha.kernel import GATHER_CHUNK_ELEMS
-from repro.mha.rowwise import DENSE_RANGE_FACTOR, ROW_GROUP
 
 if TYPE_CHECKING:  # annotation-only: the plan layer never runs at emit time
     from repro.plan.symbolic import GuardRecorder
 
 #: Bump when the emitted code changes shape (see blockwise counterpart).
-ROWWISE_TEMPLATE_VERSION = 1
+ROWWISE_TEMPLATE_VERSION = 2
+
+#: Row grouping: consecutive non-empty rows are processed ``ROW_GROUP`` at a
+#: time; a group takes the no-gather contiguous-slice path when its attended
+#: columns span at most ``DENSE_RANGE_FACTOR`` times the longest row's nnz
+#: (or the head size, for tiny rows) — the host-side mirror of the kernel's
+#: coalesced-vs-scattered load split.  The factor is large because a
+#: dense-range column costs a few streamed-BLAS/exp nanoseconds while a
+#: gathered lane costs two ``head_size``-vector fancy gathers (~an order of
+#: magnitude more) — measured crossover is near 16.
+ROW_GROUP = 64
+DENSE_RANGE_FACTOR = 16
 
 
 def specialize_rowwise(
     row_ptr: np.ndarray,
     col_idx: np.ndarray,
     mask: np.ndarray,
-    n_bh: int,
     head_size: int,
+    sym: "GuardRecorder",
     digest: str = "",
     pattern: str = "custom",
-    sym: "GuardRecorder | None" = None,
 ) -> GeneratedSource:
     """Render the specialized module for one element-CSR mask.
 
-    With a ``sym`` recorder (:class:`repro.plan.symbolic.GuardRecorder`
-    binding ``n_bh``), every emission decision that reads the batch*heads
-    extent goes through the recorder, which accumulates the guards under
-    which this exact module re-emits — the caller caches it once per
-    guard family instead of once per concrete ``n_bh``.  The emitted
-    text itself always reads ``n_bh`` from ``q.shape[0]`` at run time.
+    ``sym`` (a :class:`repro.plan.symbolic.GuardRecorder` binding ``n_bh``)
+    answers every emission decision that reads the batch*heads extent and
+    accumulates the guards under which this exact module re-emits, so the
+    caller caches it once per guard family instead of once per concrete
+    ``n_bh``.  The emitted text itself reads ``n_bh`` from ``q.shape[0]``
+    at run time.
     """
     seq, kv = mask.shape
     d = head_size
@@ -57,6 +71,7 @@ def specialize_rowwise(
 
     buf = IndentedBuffer()
     consts: list[np.ndarray] = []
+    counters: list[tuple] = []
 
     def const(arr: np.ndarray) -> str:
         consts.append(arr)
@@ -71,7 +86,7 @@ def specialize_rowwise(
                 "pattern": pattern,
                 "seq": seq,
                 "kv": kv,
-                "n_bh": "sym" if sym is not None else n_bh,
+                "n_bh": "sym",
                 "nnz": int(row_ptr[-1]),
                 "nonempty_rows": int(nonempty.size),
             },
@@ -87,6 +102,7 @@ def specialize_rowwise(
         buf.writeline(f"out = np.zeros((n_bh, {seq}, d), dtype=np.float16)")
         if nonempty.size == 0:
             buf.writeline("return out")
+            emit_counters(buf, counters)
             return GeneratedSource(
                 "rowwise", ROWWISE_TEMPLATE_VERSION, buf.getvalue(), consts
             )
@@ -105,17 +121,19 @@ def specialize_rowwise(
                 scattered.append(np.arange(a, b))
                 continue
             _emit_dense_group(
-                buf, const, mask, nonempty[a:b], a // ROW_GROUP, lo, hi, n_bh,
-                sym,
+                buf, const, counters, mask, nonempty[a:b], a // ROW_GROUP,
+                lo, hi, sym,
             )
 
         for sel in scattered:
+            counters.append(("mha.path", "path", "gather", "count", 1))
             _emit_gather_buckets(
-                buf, const, row_ptr, col_idx, nonempty[sel], lens[sel], n_bh, d,
-                sym,
+                buf, const, counters, row_ptr, col_idx, nonempty[sel],
+                lens[sel], d, sym,
             )
 
         buf.writeline("return out")
+    emit_counters(buf, counters)
     return GeneratedSource(
         "rowwise", ROWWISE_TEMPLATE_VERSION, buf.getvalue(), consts
     )
@@ -132,13 +150,13 @@ def _rows_expr(const, rows_g: np.ndarray) -> tuple[str, bool]:
 def _emit_dense_group(
     buf: IndentedBuffer,
     const,
+    counters: list[tuple],
     mask: np.ndarray,
     rows_g: np.ndarray,
     gi: int,
     lo: int,
     hi: int,
-    n_bh: int,
-    sym: "GuardRecorder | None" = None,
+    sym: "GuardRecorder",
 ) -> None:
     """Contiguous-slice path: one dense masked softmax-matmul per group."""
     bias = np.where(
@@ -148,6 +166,8 @@ def _emit_dense_group(
     bias_ref = const(bias) if biased else None
     rows_ref, contig = _rows_expr(const, rows_g)
     g_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, len(rows_g) * (hi - lo))))
+    counters.append(("mha.path", "path", "dense_range", "count", 1))
+    counters.append(("mha.chunks", "path", "dense_range", "chunks", g_chunk))
 
     buf.writeline(
         f"# group {gi}: {len(rows_g)} rows, dense range [{lo}:{hi})"
@@ -172,10 +192,7 @@ def _emit_dense_group(
             buf.writeline("np.divide(o, l, out=o)")
             buf.writeline(f"out[{gs}, {rows_ref}] = o")
 
-    one_chunk = (
-        sym.le("n_bh", g_chunk) if sym is not None else g_chunk >= n_bh
-    )
-    if one_chunk:
+    if sym.le("n_bh", g_chunk):
         body(":")
     else:
         buf.writeline(f"for g0 in range(0, n_bh, {g_chunk}):")
@@ -187,13 +204,13 @@ def _emit_dense_group(
 def _emit_gather_buckets(
     buf: IndentedBuffer,
     const,
+    counters: list[tuple],
     row_ptr: np.ndarray,
     col_idx: np.ndarray,
     rows: np.ndarray,
     lens: np.ndarray,
-    n_bh: int,
     d: int,
-    sym: "GuardRecorder | None" = None,
+    sym: "GuardRecorder",
 ) -> None:
     """Padded-gather fallback: pow2 length buckets, indices baked as consts."""
     caps = np.int64(1) << np.ceil(np.log2(lens)).astype(np.int64)
@@ -209,13 +226,13 @@ def _emit_gather_buckets(
         pad = lanes[None, :] >= lens_b[:, None]
         padded = bool(pad.any())
         n_b = len(rows_b)
-        if sym is not None:
-            # The baked chunk size is the one n_bh-derived *constant* in
-            # the module; the recorder pins the exact n_bh region over
-            # which this value (and thus the emitted text) is unchanged.
-            row_chunk = sym.floordiv("n_bh", GATHER_CHUNK_ELEMS, int(cap) * d)
-        else:
-            row_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, n_bh * cap * d)))
+        # The baked chunk size is the one n_bh-derived *constant* in the
+        # module; the recorder pins the exact n_bh region over which this
+        # value (and thus the emitted text) is unchanged.
+        row_chunk = sym.floordiv("n_bh", GATHER_CHUNK_ELEMS, int(cap) * d)
+        counters.append(("mha.gather_bytes", "cap", int(cap), "kv_bytes", n_b * int(cap)))
+        counters.append(("mha.bucket_rows", "cap", int(cap), "count", n_b))
+        counters.append(("mha.chunks", "path", "gather", "count", -(-n_b // row_chunk)))
 
         idx_ref = const(idx)
         pad_ref = const(pad) if padded else None

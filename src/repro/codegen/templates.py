@@ -28,7 +28,8 @@ class GeneratedSource:
     ``source`` is self-contained Python defining ``run(q, k, v, consts)``;
     ``consts`` is the positional constant pool that function indexes (kept
     out of the text so modules stay small and byte-stable on disk — the
-    pool is rebuilt deterministically at bind time).
+    pool is rebuilt deterministically at bind time).  The source also
+    defines ``COUNTERS`` (see :func:`emit_counters`).
     """
 
     template: str
@@ -86,3 +87,23 @@ def module_header(
         f"# key={digest}",
         f"# {desc}",
     ]
+
+
+def emit_counters(buf, rows: list[tuple]) -> None:
+    """Append the module's ``COUNTERS`` table: its group decisions as data.
+
+    One ``(metric, label, label_value, scale, amount)`` row per counter
+    increment a call makes.  A family module serves many ``n_bh``, so the
+    rows hold only the ``n_bh``-free part, and the backend scales them by
+    the call's shape on every call, warm or cold: ``scale="count"`` adds
+    ``amount`` as is, ``"chunks"`` adds the number of ``n_bh`` chunks of
+    stride ``amount``, and ``"kv_bytes"`` adds the fp32 K+V bytes of
+    ``amount`` gathered head-size vectors per batch*head.
+    """
+    buf.writeline()
+    buf.writeline()
+    buf.writeline("COUNTERS = (")
+    with buf.indent():
+        for row in rows:
+            buf.writeline(f"{row!r},")
+    buf.writeline(")")

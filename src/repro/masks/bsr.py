@@ -23,12 +23,11 @@ Storage follows the paper exactly:
   ``load_col_idx`` so one pass yields everything the kernel needs.
 
 On top of the CSR view, ``from_dense`` eagerly builds a *flat COO* view for
-the vectorized execution backend: ``load_block_row`` records each valid
-block's block-row (so one gather fetches every Q/K/V tile at once), and the
-``seg_*`` arrays describe the non-empty block-row segments of the flat block
-axis (``seg_starts`` feeds ``np.{maximum,add}.reduceat`` for the segmented
-online softmax, ``seg_id`` broadcasts per-segment statistics back to blocks,
-``seg_block_rows`` scatters segment results into output rows).
+:meth:`BlockSparseMask.concat_groups`, the bucketing the codegen blockwise
+specializer (:mod:`repro.codegen.blockwise`) unrolls: ``load_block_row``
+records each valid block's block-row, and the ``seg_*`` arrays describe the
+non-empty block-row segments of the flat block axis (``seg_starts`` is each
+segment's first flat block, ``seg_block_rows`` its block row).
 ``part_bias`` is the deduplicated PART-mask stack as an additive FP32 bias
 (``0`` attended / ``-inf`` masked), ready to add onto score tiles.
 
@@ -91,11 +90,10 @@ class BlockSparseMask:
     load_kind: np.ndarray       # parallel to load_col_idx, BlockKind values
     load_mask_idx: np.ndarray   # parallel; -1 for FULL blocks
 
-    # Flat COO view (vectorized execution backend; built by from_dense).
+    # Flat COO view (concat_groups / codegen; built by from_dense).
     load_block_row: np.ndarray  # parallel to load_col_idx: block-row index
     seg_starts: np.ndarray      # flat offsets of each non-empty block row
     seg_block_rows: np.ndarray  # block-row index of each segment
-    seg_id: np.ndarray          # parallel to load_col_idx: segment index
     part_bias: np.ndarray       # (n_unique, block_m, block_n) fp32 0/-inf
 
     _load_bias_cache: np.ndarray | None = field(
@@ -214,10 +212,6 @@ class BlockSparseMask:
         load_rows = all_rows[order].astype(np.int32)
         seg_block_rows = np.flatnonzero(row_counts > 0).astype(np.int32)
         seg_starts = load_row_ptr[seg_block_rows]
-        seg_id = np.repeat(
-            np.arange(len(seg_block_rows), dtype=np.int32),
-            row_counts[seg_block_rows],
-        )
         part_bias = np.where(
             part_mask, np.float32(0.0), np.float32(-np.inf)
         ).astype(np.float32)
@@ -240,7 +234,6 @@ class BlockSparseMask:
             load_block_row=load_rows,
             seg_starts=seg_starts,
             seg_block_rows=seg_block_rows,
-            seg_id=seg_id,
             part_bias=part_bias,
         )
 
@@ -460,7 +453,7 @@ class BlockStats:
         load arrays (``int32`` column, ``int8`` kind, ``int32`` mask index)
         per valid block; and the deduplicated PART masks at 1 byte/element.
         The flat-COO / segment arrays are host-side machinery of the
-        vectorized functional backend and deliberately not counted: a real
+        codegen functional backend and deliberately not counted: a real
         device kernel consumes only the CSR views priced here.
         """
         return (

@@ -13,15 +13,15 @@ One fused kernel computes masked attention over the BSR mask view:
   conflicts, score/context products run on tensor cores (wmma), and V loads
   are pipelined against compute with async copy.
 
-``run`` computes real values via the same block traversal (online softmax in
-FP32) over the BSR view; ``plan`` prices the launch from the mask's
-:class:`~repro.masks.bsr.BlockStats` at the same grid, which counts exactly
-the blocks that traversal visits.
+``run`` computes real values over the BSR view, through a module generated
+for the mask (:mod:`repro.codegen`, the default) or through the same block
+traversal with an FP32 online softmax (the ``loop`` oracle); ``plan`` prices
+the launch from the mask's :class:`~repro.masks.bsr.BlockStats` at the same
+grid, which counts exactly the blocks that traversal visits.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -32,9 +32,8 @@ from repro.gpu.bank import bank_conflict_factor
 from repro.gpu.cost import KernelCost, LaunchConfig
 from repro.gpu.specs import GPUSpec
 from repro.masks.bsr import BlockKind, BlockSparseMask, BlockStats
-from repro.mha.kernel import GATHER_CHUNK_ELEMS, AttentionKernel, Launch
+from repro.mha.kernel import AttentionKernel, Launch
 from repro.mha.problem import AttentionProblem
-from repro.obs.metrics import current_metrics
 
 #: SMEM padding in FP16 elements (the paper's Eq. 2 uses 16).
 DEFAULT_PADDING = 16
@@ -172,12 +171,10 @@ class BlockWiseKernel(AttentionKernel):
 
         if self.exec_backend == "loop":
             out = self._run_loop(bsr, q, k, v)
-        elif self.exec_backend == "codegen":
+        else:
             from repro.codegen.backend import run_blockwise
 
-            out = run_blockwise(problem, bsr, q, k, v)
-        else:
-            out = self._run_vectorized(bsr, q, k, v)
+            out = run_blockwise(problem, bsr, q, k, v, kernel=self.name)
         return to_fp16(out.reshape(problem.qkv_shape))
 
     def _run_loop(self, bsr: BlockSparseMask, q, k, v) -> np.ndarray:
@@ -228,131 +225,6 @@ class BlockWiseKernel(AttentionKernel):
             )
 
         return out
-
-    def _run_vectorized(self, bsr: BlockSparseMask, q, k, v) -> np.ndarray:
-        """Flat-COO backend: concatenated-block matmuls, zero per-block loops.
-
-        Q/K/V are staged as padded tile arrays once; then, per
-        ``bsr.concat_groups()`` bucket, every member block row's valid K/V
-        tiles are gathered (contiguous tile memcpys, not element gathers)
-        and concatenated along the key axis, so scores are one batched
-        ``(bm, cap*bn)`` matmul, masking is one additive-bias add, and the
-        loop oracle's running-max rescale disappears entirely — each block
-        row's segment *is* the last axis, so the segmented softmax is a
-        plain (exact, two-pass) last-axis softmax.  Same math; outputs agree
-        with the loop to FP16 rounding (summation order differs).  The
-        batch*heads axis is chunked so peak staging memory stays bounded.
-        """
-        n_bh, seq, d = q.shape
-        bm, bn = bsr.block_m, bsr.block_n
-        nbr, nbc = bsr.n_block_rows, bsr.n_block_cols
-        if bsr.n_valid == 0:
-            return np.zeros((n_bh, seq, d), dtype=np.float32)
-
-        qb = _tiles(q, nbr, bm)                      # views when lengths divide
-        kb = _tiles(k, nbc, bn)
-        vb = _tiles(v, nbc, bn)
-        out = np.zeros((n_bh, nbr * bm, d), dtype=np.float32)
-        outb = out.reshape(n_bh, nbr, bm, d)
-        m = current_metrics()
-
-        for rows_g, idx, slab in bsr.concat_groups():
-            n_g, cap = idx.shape
-            cols = bsr.load_col_idx[idx].astype(np.int64)
-            # Banded fast path: when the group's concatenated tile columns
-            # advance uniformly row to row (bands do), K/V need no gather at
-            # all — a strided view hands BLAS the same contiguous slices the
-            # loop oracle reads.
-            kg_all = _banded_view(kb, cols)
-            vg_all = _banded_view(vb, cols) if kg_all is not None else None
-            row_slice = (
-                slice(int(rows_g[0]), int(rows_g[-1]) + 1)
-                if int(rows_g[-1]) - int(rows_g[0]) + 1 == n_g
-                else rows_g
-            )
-            g_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, n_g * bm * cap * bn)))
-            if m.enabled:
-                path = "banded" if kg_all is not None else "gather"
-                m.counter("mha.path", kernel=self.name, path=path).inc()
-                m.counter("mha.chunks", kernel=self.name, path=path).inc(
-                    -(-n_bh // g_chunk)
-                )
-                if kg_all is None:
-                    # K + V tile gathers materialize fp32 copies per group.
-                    m.counter(
-                        "mha.gather_bytes", kernel=self.name, cap=int(cap)
-                    ).inc(2.0 * n_bh * n_g * cap * bn * d * 4.0)
-            for g0 in range(0, n_bh, g_chunk):
-                gs = slice(g0, min(g0 + g_chunk, n_bh))
-                g = gs.stop - gs.start
-                qg = qb[gs, row_slice]               # (g, n_g, bm, d)
-                if kg_all is not None:
-                    kg, vg = kg_all[gs], vg_all[gs]
-                else:
-                    kg = kb[gs][:, cols].reshape(g, n_g, cap * bn, d)
-                    vg = vb[gs][:, cols].reshape(g, n_g, cap * bn, d)
-                s = qg @ kg.swapaxes(-1, -2)         # (g, n_g, bm, cap*bn)
-                if slab is not None:
-                    s += slab
-                m_ref = s.max(axis=-1, keepdims=True)
-                if slab is not None:
-                    # Fully-masked rows (all -inf) must exp to zero, not NaN.
-                    m_ref = np.where(np.isfinite(m_ref), m_ref, np.float32(0.0))
-                np.subtract(s, m_ref, out=s)
-                np.exp(s, out=s)
-                l = s.sum(axis=-1, keepdims=True)
-                if isinstance(row_slice, slice):
-                    o = outb[gs, row_slice]          # write through the view
-                    np.matmul(s, vg, out=o)
-                    np.divide(o, l, out=o, where=l > 0.0)  # l == 0 stays zero
-                else:
-                    o = s @ vg
-                    np.divide(o, l, out=o, where=l > 0.0)
-                    outb[gs, row_slice] = o
-
-        return out[:, :seq]
-
-
-def _tiles(x: np.ndarray, n_tiles: int, b: int) -> np.ndarray:
-    """Stage ``(n_bh, len, d)`` as ``(n_bh, n_tiles, b, d)`` tile view.
-
-    A zero-copy reshape when ``len`` divides evenly; ragged tails are padded
-    with zeros (one copy, only for seq lengths that are not block multiples).
-    """
-    n_bh, length, d = x.shape
-    if length != n_tiles * b:
-        padded = np.zeros((n_bh, n_tiles * b, d), dtype=x.dtype)
-        padded[:, :length] = x
-        x = padded
-    return x.reshape(n_bh, n_tiles, b, d)
-
-
-def _banded_view(tb: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-    """Zero-copy ``(n_bh, n_g, cap*b, d)`` concatenated-tile view, if legal.
-
-    Legal when every row's tile columns are consecutive and the first column
-    advances by one uniform non-negative step per row — the banded case.
-    Each ``(cap*b, d)`` slice of the result is then a plain contiguous slice
-    of ``tb``, so downstream matmuls hit BLAS with no copy and no gather.
-    """
-    n_g, cap = cols.shape
-    if cap > 1 and not (np.diff(cols, axis=1) == 1).all():
-        return None
-    step = 0
-    if n_g > 1:
-        steps = np.diff(cols[:, 0])
-        if not (steps == steps[0]).all() or steps[0] < 0:
-            return None
-        step = int(steps[0])
-    n_bh, n_tiles, b, d = tb.shape
-    flat = tb.reshape(n_bh, n_tiles * b, d)
-    s0, s1, s2 = flat.strides
-    return np.lib.stride_tricks.as_strided(
-        flat[:, int(cols[0, 0]) * b :],
-        shape=(n_bh, n_g, cap * b, d),
-        strides=(s0, step * b * s1, s1, s2),
-        writeable=False,
-    )
 
 
 def _validate_blocks(block_m: int, block_n: int) -> None:

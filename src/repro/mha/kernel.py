@@ -21,19 +21,18 @@ from repro.mha.problem import AttentionProblem
 
 Launch = tuple[KernelCost, LaunchConfig]
 
-#: Functional execution backends.  ``"vectorized"`` executes the whole mask
-#: traversal as flat gathered einsums with segmented reductions (the fast
-#: default); ``"loop"`` is the original per-row/per-block Python traversal,
-#: retained as the readable oracle the vectorized path is differentially
-#: tested against; ``"codegen"`` emits Python source specialized to the
-#: mask (:mod:`repro.codegen`) — bucket layout, strides, and chunk sizes
-#: baked in as constants, dead branches eliminated — and executes the
-#: cached generated module.  The choice only affects how ``run`` computes
-#: values — ``plan``/counter output is backend-independent.
-EXEC_BACKENDS = ("vectorized", "loop", "codegen")
+#: Functional execution backends.  ``"codegen"`` (the default) emits Python
+#: source specialized to the mask (:mod:`repro.codegen`) — bucket layout,
+#: strides, and chunk sizes baked in as constants, dead branches eliminated —
+#: and executes the cached generated module; ``"loop"`` is the original
+#: per-row/per-block Python traversal, kept as the readable oracle codegen is
+#: differentially tested against.  The choice only affects how ``run``
+#: computes values — ``plan``/counter output is backend-independent.
+EXEC_BACKENDS = ("codegen", "loop")
 
-#: Peak fp32 elements one vectorized gather stage may materialize at once;
-#: the vectorized backends chunk their batched gathers below this bound.
+#: Peak fp32 elements one generated gather stage may materialize at once;
+#: the codegen specializers bake chunk sizes below this bound into every
+#: batched gather loop.
 #: 2**21 elements (8 MiB fp32) keeps each gather inside freshly-touched
 #: pages / cache instead of page-faulting through hundreds of MB — measured
 #: ~3x faster end-to-end than 2**25 chunks on the Fig. 10 sweep shapes.
@@ -45,7 +44,7 @@ class AttentionKernel(ABC):
 
     name: str = "attention"
 
-    def __init__(self, exec_backend: str = "vectorized"):
+    def __init__(self, exec_backend: str = "codegen"):
         if exec_backend not in EXEC_BACKENDS:
             raise ConfigError(
                 f"unknown exec_backend {exec_backend!r}; known: {EXEC_BACKENDS}"

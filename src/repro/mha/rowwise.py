@@ -26,9 +26,8 @@ from repro.core.fp16 import FP16_BYTES, to_fp16
 from repro.gpu.cost import KernelCost, LaunchConfig
 from repro.gpu.specs import GPUSpec
 from repro.masks.stats import contiguous_row_fraction as _contiguous_row_fraction
-from repro.mha.kernel import GATHER_CHUNK_ELEMS, AttentionKernel, Launch
+from repro.mha.kernel import AttentionKernel, Launch
 from repro.mha.problem import AttentionProblem
-from repro.obs.metrics import current_metrics
 
 #: Extra SIMT work per attended element: score scale, exp, shuffle
 #: reductions for max/sum, and the final rescale.
@@ -40,17 +39,6 @@ SIMT_FLOPS_PER_ELEM = 10.0
 #: excellent data locality" — while scattered rows pay the gather tax.
 GATHER_EFFICIENCY_SCATTERED = 0.5
 GATHER_EFFICIENCY_CONTIGUOUS = 1.0
-
-#: Vectorized-backend row grouping: consecutive non-empty rows are processed
-#: ``ROW_GROUP`` at a time; a group takes the no-gather contiguous-slice path
-#: when its attended columns span at most ``DENSE_RANGE_FACTOR`` times the
-#: longest row's nnz (or the head size, for tiny rows) — the host-side mirror
-#: of the kernel's coalesced-vs-scattered load split above.  The factor is
-#: large because a dense-range column costs a few streamed-BLAS/exp
-#: nanoseconds while a gathered lane costs two ``head_size``-vector fancy
-#: gathers (~an order of magnitude more) — measured crossover is near 16.
-ROW_GROUP = 64
-DENSE_RANGE_FACTOR = 16
 
 
 def plan_rowwise_launches(
@@ -188,12 +176,10 @@ class RowWiseKernel(AttentionKernel):
 
         if self.exec_backend == "loop":
             out = self._run_loop(row_ptr, col_idx, q, k, v)
-        elif self.exec_backend == "codegen":
+        else:
             from repro.codegen.backend import run_rowwise
 
-            out = run_rowwise(problem, row_ptr, col_idx, q, k, v)
-        else:
-            out = self._run_vectorized(row_ptr, col_idx, problem.mask, q, k, v)
+            out = run_rowwise(problem, row_ptr, col_idx, q, k, v, kernel=self.name)
         return to_fp16(out.reshape(problem.qkv_shape))
 
     def _run_loop(self, row_ptr, col_idx, q, k, v) -> np.ndarray:
@@ -214,114 +200,3 @@ class RowWiseKernel(AttentionKernel):
             probs = ex / denom
             out[:, i, :] = np.einsum("bn,bnd->bd", probs, vg)
         return out
-
-    def _run_vectorized(self, row_ptr, col_idx, mask, q, k, v) -> np.ndarray:
-        """Row-group backend: contiguous K/V slices where the mask is local,
-        padded gather buckets where it is scattered.
-
-        Consecutive non-empty rows are grouped; a group whose attended
-        columns all land in a narrow range (bands, causal, decode — the
-        row-wise kernel's own "excellent data locality" regime) slices K/V
-        as contiguous views and runs one dense masked softmax-matmul over
-        the range — no gathers at all.  Scattered groups (random, dilated)
-        fall back to row-length bucketing: rows grouped by nnz into
-        power-of-two capacity buckets, attended columns gathered into one
-        padded ``(n_rows, capacity)`` tile (padding lanes repeat the row's
-        last valid column, then get masked to ``-inf``), one batched
-        softmax-matmul per bucket.  Either way, zero per-row Python
-        iterations and the same math as the loop oracle; results agree to
-        FP16 rounding (summation order differs by padding/masked lanes only).
-        """
-        n_bh, seq, d = q.shape
-        out = np.zeros((n_bh, seq, d), dtype=np.float32)
-        lengths = np.diff(row_ptr)
-        nonempty = np.flatnonzero(lengths)
-        if nonempty.size == 0:
-            return out                               # fully masked -> zeros
-        lens = lengths[nonempty].astype(np.int64)
-        starts = row_ptr[nonempty].astype(np.int64)
-        first = col_idx[starts].astype(np.int64)
-        last = col_idx[starts + lens - 1].astype(np.int64) + 1
-
-        m = current_metrics()
-        scattered: list[np.ndarray] = []
-        for a in range(0, len(nonempty), ROW_GROUP):
-            b = min(a + ROW_GROUP, len(nonempty))
-            lo, hi = int(first[a:b].min()), int(last[a:b].max())
-            longest = int(lens[a:b].max())
-            if hi - lo > DENSE_RANGE_FACTOR * max(longest, d):
-                scattered.append(np.arange(a, b))
-                if m.enabled:
-                    m.counter("mha.path", kernel=self.name, path="gather").inc()
-                continue
-            if m.enabled:
-                m.counter("mha.path", kernel=self.name, path="dense_range").inc()
-            rows_g = nonempty[a:b]
-            bias = np.where(
-                mask[rows_g, lo:hi], np.float32(0.0), np.float32(-np.inf)
-            )
-            ks = k[:, lo:hi]                         # views, no copies
-            vs = v[:, lo:hi]
-            g_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, len(rows_g) * (hi - lo))))
-            if m.enabled:
-                m.counter("mha.chunks", kernel=self.name, path="dense_range").inc(
-                    -(-n_bh // g_chunk)
-                )
-            for g0 in range(0, n_bh, g_chunk):
-                gs = slice(g0, g0 + g_chunk)
-                s = q[gs][:, rows_g] @ ks[gs].swapaxes(-1, -2)
-                s += bias                            # (g, rows, hi-lo)
-                smax = s.max(axis=-1, keepdims=True)
-                np.subtract(s, smax, out=s)
-                np.exp(s, out=s)                     # masked -> exp(-inf)=0
-                l = s.sum(axis=-1, keepdims=True)    # > 0: rows are non-empty
-                o = s @ vs[gs]
-                np.divide(o, l, out=o)
-                out[gs, rows_g] = o
-
-        for sel in scattered:
-            self._gather_buckets(
-                row_ptr, col_idx, nonempty[sel], lens[sel], q, k, v, out
-            )
-        return out
-
-    def _gather_buckets(self, row_ptr, col_idx, rows, lens, q, k, v, out) -> None:
-        """Padded-gather fallback for scattered rows (writes into ``out``)."""
-        n_bh, _, d = q.shape
-        m = current_metrics()
-        caps = np.int64(1) << np.ceil(np.log2(lens)).astype(np.int64)
-        for cap in np.unique(caps):
-            in_bucket = caps == cap
-            rows_b = rows[in_bucket]
-            lens_b = lens[in_bucket]
-            lanes = np.arange(cap)
-            pos = row_ptr[rows_b].astype(np.int64)[:, None] + np.minimum(
-                lanes[None, :], lens_b[:, None] - 1
-            )
-            idx = col_idx[pos]                       # (n_rows_b, cap) padded
-            pad = lanes[None, :] >= lens_b[:, None]
-
-            row_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, n_bh * cap * d)))
-            if m.enabled:
-                # K + V gathers materialize fp32 (head_size)-vectors per
-                # padded lane; count what this bucket actually moves.
-                m.counter(
-                    "mha.gather_bytes", kernel=self.name, cap=int(cap)
-                ).inc(2.0 * n_bh * len(rows_b) * int(cap) * d * 4.0)
-                m.counter("mha.bucket_rows", kernel=self.name, cap=int(cap)).inc(
-                    len(rows_b)
-                )
-                m.counter("mha.chunks", kernel=self.name, path="gather").inc(
-                    -(-len(rows_b) // row_chunk)
-                )
-            for r0 in range(0, len(rows_b), row_chunk):
-                rs = slice(r0, r0 + row_chunk)
-                rows_c = rows_b[rs]
-                kg = k[:, idx[rs]]                   # (n_bh, rows, cap, d)
-                vg = v[:, idx[rs]]
-                scores = (q[:, rows_c, None, :] @ kg.swapaxes(-1, -2))[:, :, 0, :]
-                scores[:, pad[rs]] = -np.inf
-                smax = scores.max(axis=-1, keepdims=True)
-                ex = np.exp(scores - smax)           # pad lanes -> exp(-inf)=0
-                probs = ex / ex.sum(axis=-1, keepdims=True)
-                out[:, rows_c] = (probs[:, :, None, :] @ vg)[:, :, 0, :]

@@ -19,6 +19,7 @@ from repro.mha.blockwise import BlockWiseKernel
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.plan.symbolic import GuardRecorder
 
 
 def make_problem(rng, pattern="sliding_window", seq=96):
@@ -39,7 +40,7 @@ def test_plan_key_salt_carries_template_version(rng):
     key = codegen_plan_key(
         "codegen-blockwise", prob, {"block_m": 32}, template="blockwise"
     )
-    assert key.salt == f"codegen:blockwise:v{BLOCKWISE_TEMPLATE_VERSION}"
+    assert key.salt == f"codegen:blockwise:v{BLOCKWISE_TEMPLATE_VERSION}:sym(n_bh)"
     assert key.device == ""  # emitted NumPy is device-independent
     assert key.mask == prob.mask_fingerprint()
 
@@ -77,9 +78,7 @@ def test_problem_entry_memo_binds_once(rng):
     with use_codegen_cache() as cache:
         out1 = kernel.run(prob, params)
         memo = prob.__dict__["_codegen_entries"]
-        assert (
-            "blockwise", params["block_m"], params["block_n"], False
-        ) in memo
+        assert ("blockwise", params["block_m"], params["block_n"]) in memo
         out2 = kernel.run(prob, params)
         # Second call never reached the cache: still the single cold miss.
         assert cache.stats()["hits_memory"] == 0
@@ -116,7 +115,9 @@ def test_dense_lowering_on_full_dense_mask():
     no strided views, no bias constant."""
     mask = np.ones((64, 64), dtype=bool)
     bsr = BlockSparseMask.from_dense(mask, 32, 32)
-    gen = specialize_blockwise(bsr, 2, "x" * 64, "custom", mask=mask)
+    gen = specialize_blockwise(
+        bsr, GuardRecorder(n_bh=2), "x" * 64, "custom", mask=mask
+    )
     assert "lowering=dense" in gen.source
     assert "as_strided" not in gen.source
     assert gen.consts == []  # full-dense: the 0/-inf bias is dead code
@@ -129,7 +130,9 @@ def test_sparse_lowering_on_narrow_band():
     idx = np.arange(seq)
     mask = np.abs(idx[:, None] - idx[None, :]) <= 8
     bsr = BlockSparseMask.from_dense(mask, 64, 64)
-    gen = specialize_blockwise(bsr, 2, "y" * 64, "custom", mask=mask)
+    gen = specialize_blockwise(
+        bsr, GuardRecorder(n_bh=2), "y" * 64, "custom", mask=mask
+    )
     assert "lowering=dense" not in gen.source
     assert "as_strided" in gen.source
     assert "block=(16,16)" in gen.source  # retiled from the requested 64

@@ -23,6 +23,14 @@ def make_problem(rng, tag="roundtrip"):
     )
 
 
+def module_sidecar(cache_dir):
+    """The one module's ``<digest>.json`` (not the family index sidecar)."""
+    (meta_path,) = (
+        p for p in cache_dir.glob("*.json") if not p.name.endswith(".families.json")
+    )
+    return meta_path
+
+
 def run_traced(cls, prob, params=None):
     kernel = cls(exec_backend="codegen")
     p = params or kernel.default_params(prob, A100)
@@ -107,7 +115,7 @@ def test_stale_template_version_is_rejected(cls, tmp_path, rng):
     the source bytes are intact."""
     with use_codegen_cache(tmp_path):
         run_traced(cls, make_problem(rng))
-    (meta_path,) = tmp_path.glob("*.json")
+    meta_path = module_sidecar(tmp_path)
     meta = json.loads(meta_path.read_text())
     meta["version"] = meta["version"] - 1
     meta_path.write_text(json.dumps(meta))
@@ -136,11 +144,14 @@ def test_sidecar_hash_matches_helper(tmp_path, rng):
     with use_codegen_cache(tmp_path):
         run_traced(RowWiseKernel, make_problem(rng))
     (src,) = tmp_path.glob("*.py")
-    (meta_path,) = tmp_path.glob("*.json")
+    meta_path = module_sidecar(tmp_path)
     meta = json.loads(meta_path.read_text())
     assert meta["sha256"] == source_hash(src.read_text())
-    assert src.stem == meta_path.stem  # both named by the plan-key digest
+    assert src.stem == meta_path.stem  # both named by the family digest
     assert len(src.stem) == 64
+    (index,) = tmp_path.glob("*.families.json")
+    families = json.loads(index.read_text())["families"]
+    assert [f["digest"] for f in families] == [src.stem]
 
 
 def test_memory_only_cache_touches_no_disk(tmp_path, rng):

@@ -1,20 +1,14 @@
 """Symbolic codegen families: one cached module per guard region of n_bh.
 
-The concrete codegen path (flag off) is pinned byte-identical elsewhere
-(``test_cache_roundtrip`` digests); these tests cover the opt-in family
-path: sharing across admitted shapes, splitting on guard failure, the
-disk family index, and output equality against the vectorized backend.
+Every codegen module is keyed by family; these tests cover sharing across
+admitted shapes, splitting on guard failure, the disk family index, and
+output equality against the loop oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.codegen import (
-    codegen_plan_key,
-    symbolic_codegen_enabled,
-    use_codegen_cache,
-    use_symbolic_codegen,
-)
+from repro.codegen import codegen_plan_key, use_codegen_cache
 from repro.core.fp16 import fp16_allclose
 from repro.gpu.specs import A100
 from repro.mha.blockwise import BlockWiseKernel
@@ -39,41 +33,28 @@ def make_problem(rng, batch, heads, pattern="bigbird", fork="shared"):
 
 def run_both(cls, prob):
     cg = cls(exec_backend="codegen")
-    vec = cls(exec_backend="vectorized")
+    loop = cls(exec_backend="loop")
     params = cg.default_params(prob, A100)
-    return cg.run(prob, params), vec.run(prob, params)
+    return cg.run(prob, params), loop.run(prob, params)
 
 
-def test_flag_defaults_off(monkeypatch):
-    monkeypatch.delenv("STOF_CODEGEN_SYMBOLIC", raising=False)
-    assert not symbolic_codegen_enabled()
-    with use_symbolic_codegen():
-        assert symbolic_codegen_enabled()
-    assert not symbolic_codegen_enabled()
-    monkeypatch.setenv("STOF_CODEGEN_SYMBOLIC", "1")
-    assert symbolic_codegen_enabled()
-    with use_symbolic_codegen(False):
-        assert not symbolic_codegen_enabled()
-
-
-def test_family_base_key_distinct_from_concrete(rng):
-    prob = make_problem(rng, 2, 4)
-    concrete = codegen_plan_key("codegen-blockwise", prob, None)
-    base = codegen_plan_key(
-        "codegen-blockwise", prob, None, symbolic=("n_bh",)
-    )
+def test_family_base_key_frees_n_bh(rng):
+    """Batch and heads are zeroed out of the base key, so every shape of
+    one mask reaches the same base; the salt marks the key as symbolic."""
+    base = codegen_plan_key("codegen-blockwise", make_problem(rng, 2, 4), None)
+    other = codegen_plan_key("codegen-blockwise", make_problem(rng, 3, 1), None)
     assert base.batch == 0 and base.heads == 0
     assert base.salt.endswith(":sym(n_bh)")
-    assert base.digest != concrete.digest
+    assert base.digest == other.digest
 
 
 def test_shapes_in_one_guard_region_share_a_module(rng):
-    with use_codegen_cache() as cache, use_symbolic_codegen():
+    with use_codegen_cache() as cache:
         for cls in (BlockWiseKernel, RowWiseKernel):
             for batch, heads in ((1, 2), (2, 4), (4, 8)):
                 prob = make_problem(rng, batch, heads)
-                out_cg, out_vec = run_both(cls, prob)
-                assert fp16_allclose(out_cg, out_vec)
+                out_cg, out_loop = run_both(cls, prob)
+                assert fp16_allclose(out_cg, out_loop)
         stats = cache.stats()
         # 6 problems, 2 templates: one emitted module per template, the
         # other 4 binds are family hits on the same guard region.
@@ -85,13 +66,13 @@ def test_shapes_in_one_guard_region_share_a_module(rng):
 
 def test_guard_failure_splits_never_reuses(rng):
     big = DENSE_CHUNK + 32  # crosses the baked chunk-loop threshold
-    with use_codegen_cache() as cache, use_symbolic_codegen():
+    with use_codegen_cache() as cache:
         small = make_problem(rng, 1, 2)
         large = make_problem(rng, 1, big)
-        out_s, vec_s = run_both(BlockWiseKernel, small)
-        out_l, vec_l = run_both(BlockWiseKernel, large)
-        assert fp16_allclose(out_s, vec_s)
-        assert fp16_allclose(out_l, vec_l)
+        out_s, loop_s = run_both(BlockWiseKernel, small)
+        out_l, loop_l = run_both(BlockWiseKernel, large)
+        assert fp16_allclose(out_s, loop_s)
+        assert fp16_allclose(out_l, loop_l)
         stats = cache.stats()
         assert stats["family_splits"] == 1, stats
         assert stats["entries"] == 2, stats
@@ -111,7 +92,7 @@ def test_guard_failure_splits_never_reuses(rng):
 
 def test_family_index_survives_process_restart(rng, tmp_path):
     big = DENSE_CHUNK + 32
-    with use_codegen_cache(tmp_path) as cold, use_symbolic_codegen():
+    with use_codegen_cache(tmp_path) as cold:
         for heads in (2, big):
             prob = make_problem(rng, 1, heads)
             BlockWiseKernel(exec_backend="codegen").run(
@@ -122,7 +103,7 @@ def test_family_index_survives_process_restart(rng, tmp_path):
     assert len(index_files) == 1
 
     # Fresh in-memory cache, same disk dir: both regions hit from disk.
-    with use_codegen_cache(tmp_path) as warm, use_symbolic_codegen():
+    with use_codegen_cache(tmp_path) as warm:
         for heads in (4, big + 16):  # different concrete shapes, same regions
             prob = make_problem(rng, 1, heads)
             BlockWiseKernel(exec_backend="codegen").run(
@@ -134,22 +115,22 @@ def test_family_index_survives_process_restart(rng, tmp_path):
 
 
 def test_corrupt_family_index_regenerates(rng, tmp_path):
-    with use_codegen_cache(tmp_path), use_symbolic_codegen():
+    with use_codegen_cache(tmp_path):
         prob = make_problem(rng, 1, 2)
         BlockWiseKernel(exec_backend="codegen").run(
             prob, BlockWiseKernel().default_params(prob, A100)
         )
     (index_file,) = tmp_path.glob("*.families.json")
     index_file.write_text("{not json")
-    with use_codegen_cache(tmp_path) as warm, use_symbolic_codegen():
+    with use_codegen_cache(tmp_path) as warm:
         prob = make_problem(rng, 1, 2)
         out = BlockWiseKernel(exec_backend="codegen").run(
             prob, BlockWiseKernel().default_params(prob, A100)
         )
-        vec = BlockWiseKernel(exec_backend="vectorized").run(
+        loop = BlockWiseKernel(exec_backend="loop").run(
             prob, BlockWiseKernel().default_params(prob, A100)
         )
-        assert fp16_allclose(out, vec)
+        assert fp16_allclose(out, loop)
         stats = warm.stats()
         assert stats["rejected"] == 1, stats
         assert stats["misses"] == 1, stats  # re-emitted cleanly
@@ -159,11 +140,11 @@ def test_corrupt_family_index_regenerates(rng, tmp_path):
 def test_banded_masks_record_no_guards(rng):
     """The banded strided lowering never reads n_bh at emission time, so
     its family admits every shape — one module, zero splits, forever."""
-    with use_codegen_cache() as cache, use_symbolic_codegen():
+    with use_codegen_cache() as cache:
         for heads in (2, 64, 1024):
             prob = make_problem(rng, 1, heads, pattern="sliding_window")
-            out, vec = run_both(BlockWiseKernel, prob)
-            assert fp16_allclose(out, vec)
+            out, loop = run_both(BlockWiseKernel, prob)
+            assert fp16_allclose(out, loop)
         stats = cache.stats()
         assert stats["families"] == 1, stats
         assert stats["family_splits"] == 0, stats

@@ -1,8 +1,8 @@
 """Differential sweep: every attention kernel against the dense reference.
 
 One grid, every implementation: the STOF kernels (row-wise, block-wise,
-under all three execution backends, and the Eq.1/Eq.2 selector behind
-``UnifiedMHA``) plus every baseline the
+under the codegen backend and the loop oracle, and the Eq.1/Eq.2 selector
+behind ``UnifiedMHA``) plus every baseline the
 figure benchmarks compare (``benchmarks/mha_methods.py``) run the same
 concrete problems and must agree with ``repro.mha.reference`` at the FP16
 noise floor — across mask families, sequence lengths, batch sizes, and
@@ -57,15 +57,13 @@ DECODE_SHAPES = [(1, 128), (4, 96), (17, 33)]
 
 
 def sweep_kernels():
-    """Every distinct kernel: STOF's own (both execution backends) plus
+    """Every distinct kernel: STOF's own (codegen and the loop oracle) plus
     each figure baseline."""
     kernels = {
-        "rowwise": RowWiseKernel(),
-        "blockwise": BlockWiseKernel(),
-        "rowwise-loop": RowWiseKernel(exec_backend="loop"),
-        "blockwise-loop": BlockWiseKernel(exec_backend="loop"),
         "rowwise-codegen": RowWiseKernel(exec_backend="codegen"),
         "blockwise-codegen": BlockWiseKernel(exec_backend="codegen"),
+        "rowwise-loop": RowWiseKernel(exec_backend="loop"),
+        "blockwise-loop": BlockWiseKernel(exec_backend="loop"),
         "flashmask": FlashMaskAttention(),
     }
     for label, cls, _dispatch in MHA_METHODS:
@@ -77,8 +75,6 @@ def sweep_kernels():
 #: Kernels that must run on every square cell of the sweep (flashmask is
 #: representability-gated, bytetransformer seq-gated — both checked apart).
 CORE = {
-    "rowwise",
-    "blockwise",
     "rowwise-loop",
     "blockwise-loop",
     "rowwise-codegen",

@@ -142,6 +142,26 @@ class TestKernelCounters:
             "kernel=" in k for k in snap["mha.path"]["series"]
         )
 
+    @pytest.mark.parametrize("cls", [RowWiseKernel, BlockWiseKernel])
+    def test_warm_run_counts_again(self, cls):
+        # The second run reuses the bound generated module (no emission)
+        # and still records its groups: every series doubles exactly.
+        prob = make_problem(seq=512, density=0.01)
+        params = cls().default_params(prob, None)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            cls().run(prob, params)
+            cold = {
+                name: dict(snap["series"])
+                for name, snap in metrics.as_dict().items()
+                if name.startswith("mha.")
+            }
+            cls().run(prob, params)
+        warm = metrics.as_dict()
+        assert cold and "mha.path" in cold
+        for name, series in cold.items():
+            assert warm[name]["series"] == {k: 2 * v for k, v in series.items()}
+
     def test_kernels_silent_by_default(self):
         # No registry installed: the run must not leak series anywhere.
         metrics = MetricsRegistry()

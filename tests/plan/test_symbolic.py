@@ -313,9 +313,11 @@ def test_v1_files_still_load(tmp_path):
 )
 def test_admitted_shapes_reemit_identical_modules(seq, n_bh_a, n_bh_b, rnd):
     """Any n_bh admitted by a recorded family's guards re-emits the
-    byte-identical module and computes output identical to a fresh
-    concrete compile at that shape."""
+    byte-identical module, and the family module run at that shape
+    matches the loop oracle."""
     from repro.codegen.rowwise import specialize_rowwise
+    from repro.core.fp16 import fp16_allclose, to_fp16
+    from repro.mha.rowwise import RowWiseKernel
 
     mask = np.zeros((seq, seq), dtype=bool)
     for i in range(seq):
@@ -329,25 +331,20 @@ def test_admitted_shapes_reemit_identical_modules(seq, n_bh_a, n_bh_b, rnd):
     assert row_ptr[-1] == nnz
 
     rec = GuardRecorder(n_bh=n_bh_a)
-    fam = specialize_rowwise(
-        row_ptr, col_idx, mask, n_bh_a, 8, "family:x", "custom", sym=rec
-    )
+    fam = specialize_rowwise(row_ptr, col_idx, mask, 8, rec, "family:x", "custom")
     guards = rec.guard_set()
     if not guards.check({"n_bh": n_bh_b}):
         return  # not in this family: would be a split, not a reuse
 
     rec_b = GuardRecorder(n_bh=n_bh_b)
     fam_b = specialize_rowwise(
-        row_ptr, col_idx, mask, n_bh_b, 8, "family:x", "custom", sym=rec_b
+        row_ptr, col_idx, mask, 8, rec_b, "family:x", "custom"
     )
     assert fam_b.source == fam.source       # byte-identical re-emission
     assert rec_b.guard_set() == guards      # same region recorded
 
-    # Loop oracle: the family module at n_bh_b matches a fresh concrete
-    # emission at n_bh_b exactly (same arithmetic, same dtypes).
-    concrete = specialize_rowwise(
-        row_ptr, col_idx, mask, n_bh_b, 8, "concrete", "custom"
-    )
+    # Loop oracle: the family module emitted at n_bh_a, run at n_bh_b,
+    # matches the per-row traversal at the FP16 noise floor.
     rng = np.random.default_rng(0)
     q = rng.standard_normal((n_bh_b, seq, 8)).astype(np.float32)
     k = rng.standard_normal((n_bh_b, seq, 8)).astype(np.float32)
@@ -359,5 +356,6 @@ def test_admitted_shapes_reemit_identical_modules(seq, n_bh_a, n_bh_b, rnd):
         return ns["run"](q, k, v, gen.consts)
 
     out_family = run(fam)
-    out_concrete = run(concrete)
-    np.testing.assert_array_equal(out_family, out_concrete)
+    out_loop = RowWiseKernel(exec_backend="loop")._run_loop(row_ptr, col_idx, q, k, v)
+    assert out_family.shape == out_loop.shape
+    assert fp16_allclose(out_family, to_fp16(out_loop))

@@ -31,6 +31,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mha", "--mask", "nope"])
 
+    def test_profile_exec_backends(self):
+        parser = build_parser()
+        for backend in ("codegen", "loop"):
+            args = parser.parse_args(["profile", "--exec-backend", backend])
+            assert args.exec_backend == backend
+        with pytest.raises(SystemExit):
+            parser.parse_args(["profile", "--exec-backend", "vectorized"])
+
     def test_registered_commands(self):
         sub = build_parser()._subparsers._group_actions[0]
         assert set(ALL_COMMANDS) == set(sub.choices)
